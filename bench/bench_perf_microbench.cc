@@ -7,11 +7,18 @@
 //   * Ryser's permanent is O(2^n n): BM_Permanent shows the exponential
 //     wall that motivates the O-estimate;
 //   * sampler sweeps and propagation are the costs of the simulated
-//     estimator and of Figure 7.
+//     estimator and of Figure 7;
+//   * FIMI parsing and Similarity-by-Sampling (Fig. 13) are the two
+//     layers that dominate an end-to-end `report`: BM_ReadFimi and
+//     BM_SimilarityBySampling measure them on the ACCIDENTS stand-in at
+//     5% scale.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "belief/builders.h"
@@ -19,6 +26,8 @@
 #include "mining/miner.h"
 #include "core/oestimate.h"
 #include "core/recipe.h"
+#include "core/similarity.h"
+#include "data/fimi_io.h"
 #include "data/frequency.h"
 #include "datagen/benchmark_profiles.h"
 #include "datagen/profile.h"
@@ -260,6 +269,50 @@ void BM_Propagation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Propagation)->Range(1 << 6, 1 << 10);
+
+/// The ACCIDENTS stand-in at 5% scale (17k transactions, 469 items),
+/// generated once per process.
+const Database& AccidentsFixture() {
+  static const Database db = [] {
+    Rng rng(2005);
+    return *MakeBenchmarkDatabase(Benchmark::kAccidents, &rng, 0.05);
+  }();
+  return db;
+}
+
+void BM_ReadFimi(benchmark::State& state) {
+  // The whole ingest layer: open + parse + label remap of a FIMI file
+  // (the page cache is warm after the first iteration).
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "anonsafe_bm_read_fimi.dat")
+          .string();
+  if (!WriteFimiFile(AccidentsFixture(), path).ok()) {
+    state.SkipWithError("cannot write the FIMI fixture");
+    return;
+  }
+  const auto bytes = std::filesystem::file_size(path);
+  for (auto _ : state) {
+    auto data = ReadFimiFile(path);
+    benchmark::DoNotOptimize(data->database.num_transactions());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_ReadFimi);
+
+void BM_SimilarityBySampling(benchmark::State& state) {
+  // Figure 13 with the default 11 fractions x 10 samples, one thread
+  // (cpu_time only counts the calling thread).
+  const Database& db = AccidentsFixture();
+  SimilarityOptions options;
+  options.exec.threads = 1;
+  for (auto _ : state) {
+    auto curve = SimilarityBySampling(db, options);
+    benchmark::DoNotOptimize(curve->back().mean_alpha);
+  }
+}
+BENCHMARK(BM_SimilarityBySampling);
 
 Database QuestFixture(size_t num_transactions) {
   QuestParams params;

@@ -43,28 +43,6 @@ BeliefInterval MakeNonCompliantInterval(const BeliefInterval& iv, double f,
   return {std::max(0.0, hi - w), hi};
 }
 
-namespace {
-
-Result<BeliefFunction> BuildFromSample(const Database& sample,
-                                       bool use_average_gap,
-                                       double* delta_out) {
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(sample));
-  FrequencyGroups groups = FrequencyGroups::Build(table);
-  double delta = use_average_gap ? groups.GapSummary().mean
-                                 : groups.MedianGap();
-  if (delta_out != nullptr) *delta_out = delta;
-
-  std::vector<BeliefInterval> intervals(table.num_items());
-  for (ItemId x = 0; x < table.num_items(); ++x) {
-    double f = table.frequency(x);
-    intervals[x] = {std::max(0.0, f - delta), std::min(1.0, f + delta)};
-  }
-  return BeliefFunction::Create(std::move(intervals));
-}
-
-}  // namespace
-
 BeliefFunction MakeIgnorantBelief(size_t num_items) {
   std::vector<BeliefInterval> intervals(num_items, BeliefInterval{0.0, 1.0});
   auto result = BeliefFunction::Create(std::move(intervals));
@@ -134,14 +112,35 @@ Result<AlphaCompliantBelief> MakeAlphaCompliantBelief(
   return out;
 }
 
+Result<BeliefFunction> MakeBeliefFromSampleGroups(
+    const FrequencyTable& table, const FrequencyGroups& groups,
+    bool use_average_gap, double* delta_out) {
+  double delta = use_average_gap ? groups.GapSummary().mean
+                                 : groups.MedianGap();
+  if (delta_out != nullptr) *delta_out = delta;
+
+  std::vector<BeliefInterval> intervals(table.num_items());
+  for (ItemId x = 0; x < table.num_items(); ++x) {
+    double f = table.frequency(x);
+    intervals[x] = {std::max(0.0, f - delta), std::min(1.0, f + delta)};
+  }
+  return BeliefFunction::Create(std::move(intervals));
+}
+
 Result<BeliefFunction> MakeBeliefFromSample(const Database& sample,
                                             double* delta_out) {
-  return BuildFromSample(sample, /*use_average_gap=*/false, delta_out);
+  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
+                            FrequencyTable::Compute(sample));
+  return MakeBeliefFromSampleGroups(table, FrequencyGroups::Build(table),
+                                    /*use_average_gap=*/false, delta_out);
 }
 
 Result<BeliefFunction> MakeBeliefFromSampleAverageGap(
     const Database& sample, double* delta_out) {
-  return BuildFromSample(sample, /*use_average_gap=*/true, delta_out);
+  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
+                            FrequencyTable::Compute(sample));
+  return MakeBeliefFromSampleGroups(table, FrequencyGroups::Build(table),
+                                    /*use_average_gap=*/true, delta_out);
 }
 
 }  // namespace anonsafe

@@ -76,6 +76,15 @@ Result<BeliefFunction> MakeBeliefFromSample(const Database& sample,
 Result<BeliefFunction> MakeBeliefFromSampleAverageGap(
     const Database& sample, double* delta_out = nullptr);
 
+/// \brief The construction behind both functions above, from a sample's
+/// supports already counted into `table` and grouped into `groups`
+/// (which must be built from `table`): half-width δ' is the sampled
+/// median gap, or the mean gap when `use_average_gap`. Lets
+/// Similarity-by-Sampling reuse one grouping per sample.
+Result<BeliefFunction> MakeBeliefFromSampleGroups(
+    const FrequencyTable& table, const FrequencyGroups& groups,
+    bool use_average_gap, double* delta_out = nullptr);
+
 }  // namespace anonsafe
 
 #endif  // ANONSAFE_BELIEF_BUILDERS_H_

@@ -1,5 +1,6 @@
 #include "core/risk_report.h"
 
+#include <memory>
 #include <sstream>
 
 #include "core/exact_formulas.h"
@@ -281,8 +282,16 @@ Result<RiskReport> RiskReport::FromJson(const json::Value& v) {
 
 Result<RiskReport> BuildRiskReport(const Database& db,
                                    const RiskReportOptions& options,
-                                   exec::ExecContext* ctx,
+                                   exec::ExecContext* external_ctx,
                                    RecipeArtifacts* artifacts) {
+  // One context for the recipe and the similarity curve, so --threads
+  // reaches both; values never depend on it.
+  std::unique_ptr<exec::ExecContext> owned_ctx;
+  exec::ExecContext* ctx = external_ctx;
+  if (ctx == nullptr) {
+    owned_ctx = std::make_unique<exec::ExecContext>(options.recipe.exec);
+    ctx = owned_ctx.get();
+  }
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table, FrequencyTable::Compute(db));
   FrequencyGroups groups = FrequencyGroups::Build(table);
 

@@ -70,7 +70,9 @@ struct RiskReport {
 /// to anonymize and release.
 ///
 /// `ctx` (optional) is observed for cooperative cancellation and is
-/// passed through to the recipe and the similarity sweep; `artifacts`
+/// passed through to the recipe and the similarity sweep; when null, one
+/// context built from `options.recipe.exec` serves both, so its thread
+/// count fans out the recipe and the similarity counting. `artifacts`
 /// (optional) caches recipe work across repeated calls on the same
 /// dataset (see RecipeArtifacts).
 Result<RiskReport> BuildRiskReport(const Database& db,

@@ -46,8 +46,12 @@ struct SimilarityPoint {
 /// if a modest sample already achieves α above α_max, "similar data"
 /// suffices to breach the tolerance and the owner should not disclose.
 ///
-/// `ctx` (optional) is observed for cooperative cancellation between
-/// fractions; values never depend on it (the sampling RNG is private).
+/// Each sample is a transaction mask drawn from one private RNG seeded
+/// with `options.exec.seed`; no sample is copied out of `db`. `ctx`
+/// (optional) fans each sample's support counting out over its pool and
+/// is observed for cooperative cancellation; when null, a context is
+/// built from `options.exec` (1 thread by default). Values never depend
+/// on the context: the curve is bit-identical at any thread count.
 Result<std::vector<SimilarityPoint>> SimilarityBySampling(
     const Database& db, const SimilarityOptions& options = {},
     exec::ExecContext* ctx = nullptr);

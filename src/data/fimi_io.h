@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/database.h"
@@ -28,9 +29,15 @@ struct LabeledDatabase {
 /// line, whitespace-separated non-negative integer item labels. Blank
 /// lines are skipped; duplicate items within a line are collapsed.
 ///
-/// Fails with IOError on unreadable input and InvalidArgument on
-/// malformed tokens or negative labels.
+/// The stream is scanned in fixed-size blocks, so memory holds the
+/// parsed database but never the whole text. Fails with IOError on
+/// unreadable input and InvalidArgument on malformed tokens or negative
+/// labels (docs/FORMATS.md has the exact token grammar).
 Result<LabeledDatabase> ReadFimi(std::istream& in);
+
+/// \brief `ReadFimi` over text already in memory, parsed in place by the
+/// same scanner (same grammar, results and error messages).
+Result<LabeledDatabase> ParseFimi(std::string_view text);
 
 /// \brief Reads a FIMI file from disk (see `ReadFimi`).
 Result<LabeledDatabase> ReadFimiFile(const std::string& path);

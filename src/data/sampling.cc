@@ -20,16 +20,21 @@ Result<Database> SampleTransactions(const Database& db, size_t k, Rng* rng) {
   return out;
 }
 
+size_t SampleSize(size_t m, double fraction) {
+  size_t k = static_cast<size_t>(
+      std::lround(fraction * static_cast<double>(m)));
+  if (k == 0) k = 1;
+  if (k > m) k = m;
+  return k;
+}
+
 Result<Database> SampleFraction(const Database& db, double fraction,
                                 Rng* rng) {
   if (!(fraction > 0.0) || fraction > 1.0) {
     return Status::InvalidArgument("fraction must lie in (0, 1]");
   }
-  size_t k = static_cast<size_t>(
-      std::lround(fraction * static_cast<double>(db.num_transactions())));
-  if (k == 0) k = 1;
-  if (k > db.num_transactions()) k = db.num_transactions();
-  return SampleTransactions(db, k, rng);
+  return SampleTransactions(db, SampleSize(db.num_transactions(), fraction),
+                            rng);
 }
 
 }  // namespace anonsafe

@@ -16,7 +16,11 @@ namespace anonsafe {
 /// number of transactions.
 Result<Database> SampleTransactions(const Database& db, size_t k, Rng* rng);
 
-/// \brief Draws a sample of `round(fraction * m)` transactions (at least 1).
+/// \brief The size `SampleFraction` draws for a fraction of `m`
+/// transactions: `round(fraction * m)`, clamped to [1, m] (0 when `m` is 0).
+size_t SampleSize(size_t m, double fraction);
+
+/// \brief Draws a sample of `SampleSize(m, fraction)` transactions.
 /// `fraction` must lie in (0, 1].
 Result<Database> SampleFraction(const Database& db, double fraction,
                                 Rng* rng);

@@ -309,10 +309,12 @@ Status RunServe(const CliInvocation& cli, std::ostream& out) {
 Status RunSimilarity(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
   ANONSAFE_ASSIGN_OR_RETURN(uint64_t seed, FlagAsUint64(cli, "seed", 11));
+  ANONSAFE_ASSIGN_OR_RETURN(uint64_t threads, FlagAsUint64(cli, "threads", 1));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
   SimilarityOptions options;
   options.exec.seed = seed;
+  options.exec.threads = static_cast<size_t>(threads);
   ANONSAFE_ASSIGN_OR_RETURN(std::vector<SimilarityPoint> curve,
                             SimilarityBySampling(data.database, options));
   TablePrinter t({"sample %", "mean alpha", "stddev", "delta'_med"});
@@ -847,7 +849,8 @@ std::string CliUsage() {
       "                                        long-running JSON service\n"
       "                                        (stdio without --port;\n"
       "                                        see docs/SERVER.md)\n"
-      "  similarity <file.dat> [--seed=]       Fig. 13 sampling curve\n"
+      "  similarity <file.dat> [--seed=11] [--threads=1]\n"
+      "                                        Fig. 13 sampling curve\n"
       "  risk <file.dat> [--top=20]             per-item crack ranking\n"
       "  belief <file.dat> <out.belief> [--delta=]  belief-file template\n"
       "  mine <file.dat> [--algorithm=fpgrowth|apriori|eclat]\n"

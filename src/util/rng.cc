@@ -38,11 +38,13 @@ uint64_t Rng::Next() {
 uint64_t Rng::UniformUint64(uint64_t bound) {
   assert(bound > 0);
   if (bound == 0) return 0;
-  // Lemire-style rejection to avoid modulo bias.
-  uint64_t threshold = (-bound) % bound;
+  // Rejection to avoid modulo bias: draws below (2^64 mod bound) are
+  // rejected. That threshold is always below `bound`, so it only needs
+  // the (slow) 64-bit division when a draw lands under `bound`; accepted
+  // values and the draw count are the same as computing it up front.
   for (;;) {
     uint64_t r = Next();
-    if (r >= threshold) return r % bound;
+    if (r >= bound || r >= (-bound) % bound) return r % bound;
   }
 }
 
@@ -118,29 +120,48 @@ std::vector<size_t> Rng::Permutation(size_t n) {
   return p;
 }
 
+namespace {
+
+// The one k-of-n draw behind SampleWithoutReplacement and SampleMask.
+// Dense case (k*3 >= n): shuffle all n indices and take a prefix.
+// Sparse case: Floyd's algorithm, O(k) draws, with `chosen` (size n,
+// all false on entry) as its membership set. `emit` sees each chosen
+// index once, in draw order.
+template <typename Mask, typename Emit>
+void DrawSubset(Rng* rng, size_t n, size_t k, Mask* chosen, Emit emit) {
+  if (k == 0) return;
+  if (k * 3 >= n) {
+    std::vector<size_t> idx(n);
+    for (size_t i = 0; i < n; ++i) idx[i] = i;
+    rng->Shuffle(&idx);
+    for (size_t i = 0; i < k; ++i) emit(idx[i]);
+  } else {
+    for (size_t j = n - k; j < n; ++j) {
+      size_t t = static_cast<size_t>(rng->UniformUint64(j + 1));
+      if ((*chosen)[t]) t = j;
+      (*chosen)[t] = true;
+      emit(t);
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   assert(k <= n);
   std::vector<size_t> out;
   out.reserve(k);
-  if (k == 0) return out;
-  if (k * 3 >= n) {
-    // Dense case: shuffle a full index vector and take a prefix.
-    std::vector<size_t> idx(n);
-    for (size_t i = 0; i < n; ++i) idx[i] = i;
-    Shuffle(&idx);
-    out.assign(idx.begin(), idx.begin() + static_cast<ptrdiff_t>(k));
-  } else {
-    // Sparse case: Floyd's algorithm, O(k) expected insertions.
-    std::vector<bool> chosen(n, false);
-    for (size_t j = n - k; j < n; ++j) {
-      size_t t = static_cast<size_t>(UniformUint64(j + 1));
-      if (chosen[t]) t = j;
-      chosen[t] = true;
-      out.push_back(t);
-    }
-  }
+  std::vector<bool> chosen(k * 3 >= n ? 0 : n, false);
+  DrawSubset(this, n, k, &chosen, [&](size_t t) { out.push_back(t); });
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<uint8_t> Rng::SampleMask(size_t n, size_t k) {
+  assert(k <= n);
+  std::vector<uint8_t> mask(n, 0);
+  DrawSubset(this, n, k, &mask, [&](size_t t) { mask[t] = 1; });
+  return mask;
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xd1b54a32d192ed03ULL); }

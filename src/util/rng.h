@@ -73,6 +73,12 @@ class Rng {
   /// sorted ascending. Requires `k <= n`.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
+  /// \brief The same draw as `SampleWithoutReplacement` (identical RNG
+  /// stream and chosen set) as a membership mask: `mask[i] == 1` iff
+  /// index `i` was chosen. Lets callers visit the sample in index order
+  /// without sorting. Requires `k <= n`.
+  std::vector<uint8_t> SampleMask(size_t n, size_t k);
+
   /// \brief Forks a statistically independent child generator. Useful for
   /// giving each parallel experiment repetition its own stream.
   Rng Fork();

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "belief/belief_function.h"
@@ -15,14 +18,17 @@
 #include "core/direct_method.h"
 #include "core/oestimate.h"
 #include "core/recipe.h"
+#include "core/similarity.h"
 #include "core/simulated.h"
 #include "data/frequency.h"
+#include "data/sampling.h"
 #include "estimator/planner.h"
 #include "exec/exec.h"
 #include "graph/bipartite_graph.h"
 #include "graph/matching_sampler.h"
 #include "graph/permanent.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace anonsafe {
 namespace {
@@ -335,6 +341,112 @@ TEST(DeterminismTest, NonIntervalAdversariesBitIdenticalAcrossThreadCounts) {
           << base.adversary;
       EXPECT_EQ(results[i].alpha_max, results[0].alpha_max) << base.adversary;
       EXPECT_EQ(results[i].delta_med, results[0].delta_med) << base.adversary;
+    }
+  }
+}
+
+// ----------------------------------------------- Similarity-by-Sampling
+
+// Figure 13 the way it was computed before samples became masks: copy
+// every sample out as a Database, build the belief from it, then count
+// and group it again for the group count. Kept here as the oracle.
+Result<std::vector<SimilarityPoint>> CopyingSimilarity(
+    const Database& db, const SimilarityOptions& options) {
+  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable truth, FrequencyTable::Compute(db));
+  Rng rng(options.exec.seed);
+  std::vector<SimilarityPoint> curve;
+  for (double p : options.sample_fractions) {
+    std::vector<double> alphas, deltas, group_counts;
+    for (size_t rep = 0; rep < options.samples_per_fraction; ++rep) {
+      ANONSAFE_ASSIGN_OR_RETURN(Database sample, SampleFraction(db, p, &rng));
+      double delta = 0.0;
+      Result<BeliefFunction> belief =
+          options.use_average_gap
+              ? MakeBeliefFromSampleAverageGap(sample, &delta)
+              : MakeBeliefFromSample(sample, &delta);
+      ANONSAFE_RETURN_IF_ERROR(belief.status());
+      ANONSAFE_ASSIGN_OR_RETURN(double alpha,
+                                belief->ComplianceFraction(truth));
+      ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable sample_table,
+                                FrequencyTable::Compute(sample));
+      alphas.push_back(alpha);
+      deltas.push_back(delta);
+      group_counts.push_back(static_cast<double>(
+          FrequencyGroups::Build(sample_table).num_groups()));
+    }
+    SimilarityPoint point;
+    point.sample_fraction = p;
+    point.mean_alpha = Mean(alphas);
+    point.stddev_alpha = SampleStdDev(alphas);
+    point.mean_delta = Mean(deltas);
+    point.mean_groups = Mean(group_counts);
+    curve.push_back(point);
+  }
+  return curve;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+void ExpectSameCurve(const std::vector<SimilarityPoint>& want,
+                     const std::vector<SimilarityPoint>& got,
+                     const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(Bits(want[i].sample_fraction), Bits(got[i].sample_fraction))
+        << label << " point " << i;
+    EXPECT_EQ(Bits(want[i].mean_alpha), Bits(got[i].mean_alpha))
+        << label << " point " << i;
+    EXPECT_EQ(Bits(want[i].stddev_alpha), Bits(got[i].stddev_alpha))
+        << label << " point " << i;
+    EXPECT_EQ(Bits(want[i].mean_delta), Bits(got[i].mean_delta))
+        << label << " point " << i;
+    EXPECT_EQ(Bits(want[i].mean_groups), Bits(got[i].mean_groups))
+        << label << " point " << i;
+  }
+}
+
+TEST(DeterminismTest, SimilarityMatchesCopyingPathAcrossThreadCounts) {
+  // m = 3 * 6667, so k = 6667 is the first sample size on the shuffle
+  // branch of SampleWithoutReplacement (k * 3 >= m) and k = 6666 the
+  // last on Floyd's; p = 1e-5 rounds to k = 0 and is lifted to 1. The
+  // database is tall enough that support counting splits into several
+  // chunks.
+  const size_t m = 3 * 6667;
+  Rng gen(404);
+  Database db(60);
+  for (size_t t = 0; t < m; ++t) {
+    const size_t width = 1 + gen.UniformUint64(6);
+    std::vector<size_t> picks = gen.SampleWithoutReplacement(
+        60, std::min<size_t>(width + (t % 7 == 0 ? 20 : 0), 60));
+    db.AddTransactionUnchecked(Transaction(picks.begin(), picks.end()));
+  }
+  SimilarityOptions base;
+  base.sample_fractions = {1e-5, 6666.0 / m, 6667.0 / m, 0.5, 1.0};
+  base.samples_per_fraction = 3;
+  base.exec.seed = 23;
+
+  for (bool average : {false, true}) {
+    SimilarityOptions options = base;
+    options.use_average_gap = average;
+    auto want = CopyingSimilarity(db, options);
+    ASSERT_TRUE(want.ok()) << want.status();
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      const std::string label = std::string(average ? "average" : "median") +
+                                " gap, " + std::to_string(threads) +
+                                " threads";
+      options.exec.threads = threads;
+      auto own_ctx = SimilarityBySampling(db, options);
+      ASSERT_TRUE(own_ctx.ok()) << label << ": " << own_ctx.status();
+      ExpectSameCurve(*want, *own_ctx, label);
+
+      exec::ExecContext ctx(WithThreads(threads));
+      auto shared_ctx = SimilarityBySampling(db, options, &ctx);
+      ASSERT_TRUE(shared_ctx.ok()) << label << ": " << shared_ctx.status();
+      ExpectSameCurve(*want, *shared_ctx, label + " (caller's context)");
     }
   }
 }

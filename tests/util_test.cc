@@ -242,6 +242,68 @@ TEST(RngTest, SampleWithoutReplacementUnbiasedish) {
   }
 }
 
+TEST(RngTest, SampleWithoutReplacementGoldenStream) {
+  // Pinned outputs of both branches (dense: k * 3 >= n shuffles a full
+  // index vector; sparse: Floyd's algorithm) and the next raw draw after
+  // each call, so any change to the stream or its consumption shows.
+  struct Golden {
+    uint64_t seed;
+    size_t n, k;
+    std::vector<size_t> picks;
+    uint64_t next;
+  };
+  const std::vector<Golden> goldens = {
+      {3, 20, 7, {1, 2, 7, 10, 15, 16, 18}, 0x9791eac69a6614c2ULL},  // dense
+      {3, 20, 6, {1, 3, 4, 11, 12, 14}, 0x2e20ac6082308439ULL},      // sparse
+      {11, 1000, 5, {58, 208, 450, 741, 808}, 0xb6934fab6ceacaa0ULL},
+      {5, 9, 9, {0, 1, 2, 3, 4, 5, 6, 7, 8}, 0xe209a3aabc8bcc7aULL},
+  };
+  for (const Golden& g : goldens) {
+    Rng rng(g.seed);
+    EXPECT_EQ(rng.SampleWithoutReplacement(g.n, g.k), g.picks)
+        << "seed " << g.seed << " n " << g.n << " k " << g.k;
+    EXPECT_EQ(rng.Next(), g.next) << "seed " << g.seed << " k " << g.k;
+
+    // SampleMask is the same draw: same set, same stream position.
+    Rng masked(g.seed);
+    const std::vector<uint8_t> mask = masked.SampleMask(g.n, g.k);
+    std::vector<size_t> from_mask;
+    for (size_t i = 0; i < mask.size(); ++i) {
+      if (mask[i] != 0) from_mask.push_back(i);
+    }
+    EXPECT_EQ(mask.size(), g.n);
+    EXPECT_EQ(from_mask, g.picks);
+    EXPECT_EQ(masked.Next(), g.next);
+  }
+}
+
+TEST(RngTest, UniformUint64MatchesEagerThreshold) {
+  // Reference: the rejection threshold (2^64 mod bound) computed before
+  // every draw. The generator computes it only for draws below `bound`;
+  // values and stream consumption must not change. Bounds above 2^63
+  // reject up to half of all draws, so the loop really iterates.
+  auto eager = [](Rng* rng, uint64_t bound) {
+    const uint64_t threshold = (-bound) % bound;
+    for (;;) {
+      const uint64_t r = rng->Next();
+      if (r >= threshold) return r % bound;
+    }
+  };
+  const uint64_t kTop = uint64_t{1} << 63;
+  const std::vector<uint64_t> bounds = {
+      1, 2, 3, 7, 64, 1000, uint64_t{1} << 32, (uint64_t{1} << 32) + 1,
+      kTop - 1, kTop, kTop + 1, kTop + (kTop >> 1),
+      std::numeric_limits<uint64_t>::max()};
+  Rng fast(2005), reference(2005);
+  for (int round = 0; round < 200; ++round) {
+    for (uint64_t bound : bounds) {
+      ASSERT_EQ(fast.UniformUint64(bound), eager(&reference, bound))
+          << "bound " << bound << " round " << round;
+    }
+  }
+  EXPECT_EQ(fast.Next(), reference.Next());
+}
+
 TEST(RngTest, ForkProducesIndependentStream) {
   Rng a(43);
   Rng b = a.Fork();
