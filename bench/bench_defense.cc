@@ -1,9 +1,10 @@
 // Defense-sweep harness: RecommendDefense on the CONNECT stand-in.
 //
 // Runs the full registered-scheme sweep once sequentially and once at
-// ANONSAFE_THREADS (default: all hardware cores), checks the two
-// frontier documents are byte-identical (the optimizer's determinism
-// contract), and prints one JSON summary on stdout:
+// 8 worker threads (pinned, like bench_adversary, so the identity check
+// compares 1 thread against N > 1 on any host), checks the two frontier
+// documents are byte-identical (the optimizer's determinism contract),
+// and prints one JSON summary on stdout:
 //
 //   {"dataset": "...", "num_items": n, "num_transactions": m,
 //    "candidates": c, "feasible": f, "frontier_size": k,
@@ -22,7 +23,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include "bench_common.h"
 #include "defense/optimizer.h"
@@ -46,11 +46,7 @@ int Run() {
   // while exercising the identical code paths.
   if (std::getenv("ANONSAFE_SCALE") == nullptr) scale = 0.2;
 
-  size_t threads = GetThreads();
-  if (threads <= 1) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 4;
-  }
+  constexpr size_t threads = 8;
 
   auto ds = MakeDataset(Benchmark::kConnect, scale, /*with_database=*/true,
                         /*seed=*/2027);

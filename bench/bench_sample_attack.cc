@@ -68,7 +68,8 @@ int main() {
         if (!mask.ok()) continue;
         auto alpha = belief->ComplianceFraction(*true_table);
         if (!alpha.ok()) continue;
-        auto oe = ComputeOEstimateRestricted(observed, *belief, *mask);
+        auto oe = ComputeOEstimate(observed, *belief, {}, nullptr,
+                                   {.include = &*mask});
         if (!oe.ok()) continue;
         alphas.push_back(*alpha);
         cracks.push_back(oe->expected_cracks);

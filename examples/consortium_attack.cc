@@ -112,7 +112,8 @@ int main() {
   //       to the compliant items.
   auto mask = attack_belief->ComplianceMask(*released_table);
   if (!mask.ok()) return Fail(mask.status());
-  auto oe = ComputeOEstimateRestricted(observed, *attack_belief, *mask);
+  auto oe = ComputeOEstimate(observed, *attack_belief, {}, nullptr,
+                             {.include = &*mask});
   if (!oe.ok()) return Fail(oe.status());
 
   std::cout << "\nExpected cracks (O-estimate, alpha-restricted): "

@@ -338,8 +338,9 @@ fi
 
 # ---------------------------------------------- defense sweep harness
 # bench_defense runs the full RecommendDefense sweep on the CONNECT
-# stand-in, once sequentially and once at all cores. Gate: the two
-# frontier documents are byte-identical and the frontier is non-empty;
+# stand-in, once sequentially and once at 8 threads. Gate: the run really
+# used more than one thread, the two frontier documents are
+# byte-identical, and the frontier is non-empty;
 # the thread speedup is recorded informationally (coarse-grained sweep,
 # machine-dependent). Emits BENCH_defense.json.
 DEFENSE_BENCH="${DEFENSE_BENCH:-build/bench/bench_defense}"
@@ -366,6 +367,8 @@ print(f"check_perf: defense: {report['candidates']} candidates "
       f"t{report['threads']} {report['tN_ms']:.0f}ms "
       f"({report['speedup']:.2f}x), bit_identical="
       f"{str(report['bit_identical']).lower()}")
+if report["threads"] < 2:
+    failures.append("thread-identity gate compared 1 thread against 1")
 if not report["bit_identical"]:
     failures.append("frontier not bit-identical across thread counts")
 if report["frontier_size"] == 0:

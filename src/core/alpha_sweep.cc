@@ -90,10 +90,31 @@ AlphaCompliancySweep::ProbeCache AlphaCompliancySweep::MakeProbeCache(
   return cache;
 }
 
+namespace {
+
+/// Narrows a run's compliant mask to the scope's items of interest.
+void IntersectInclude(const std::vector<bool>* include,
+                      std::vector<bool>* mask) {
+  if (include == nullptr) return;
+  for (size_t x = 0; x < mask->size(); ++x) {
+    (*mask)[x] = (*mask)[x] && (*include)[x];
+  }
+}
+
+/// The include mask is intersected item by item before any O-estimate
+/// runs, so its size is checked here; ComputeOEstimate checks weights.
+Status CheckInclude(const OEstimateScope& scope, size_t num_items) {
+  if (scope.include != nullptr && scope.include->size() != num_items) {
+    return Status::InvalidArgument("interest mask size mismatch");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<double> AlphaCompliancySweep::RunOEstimateFromCache(
     const FrequencyGroups& observed, const ProbeCache& cache, size_t run,
-    double alpha, const std::vector<bool>* interest,
-    const std::vector<adversary::ItemWeight>* weights,
+    double alpha, const OEstimateScope& scope,
     const OEstimateOptions& options) const {
   const size_t n = num_items();
   alpha = std::clamp(alpha, 0.0, 1.0);
@@ -113,76 +134,41 @@ Result<double> AlphaCompliancySweep::RunOEstimateFromCache(
     ranges[x] = cache.displaced[x];
     mask[x] = false;
   }
-  if (interest != nullptr) {
-    for (size_t x = 0; x < n; ++x) {
-      mask[x] = mask[x] && (*interest)[x];
-    }
-  }
+  IntersectInclude(scope.include, &mask);
   obs::CountIf("anonsafe_stab_cache_hits_total", n);
-  if (weights != nullptr) {
-    ANONSAFE_ASSIGN_OR_RETURN(
-        OEstimateResult oe,
-        ComputeOEstimateFromRangesWeighted(observed, ranges.vec(), mask,
-                                           *weights, options));
-    return oe.expected_cracks;
-  }
   ANONSAFE_ASSIGN_OR_RETURN(
       OEstimateResult oe,
-      ComputeOEstimateFromRanges(observed, ranges.vec(), mask, options));
+      ComputeOEstimate(observed, ranges.vec(), options, /*ctx=*/nullptr,
+                       {&mask, scope.weights}));
   return oe.expected_cracks;
 }
 
 Result<double> AlphaCompliancySweep::AverageOEstimate(
     const FrequencyGroups& observed, const ProbeCache& cache, double alpha,
     const OEstimateOptions& options, exec::ExecContext* ctx,
-    const std::vector<adversary::ItemWeight>* weights) const {
+    const OEstimateScope& scope) const {
   ANONSAFE_SCOPED_TIMER("core.alpha_sweep_avg");
   if (cache.base.size() != num_items() ||
       cache.displaced.size() != num_items()) {
     return Status::InvalidArgument("probe cache size mismatch");
   }
-  if (weights != nullptr && weights->size() != num_items()) {
-    return Status::InvalidArgument("adversary weights size mismatch");
-  }
+  ANONSAFE_RETURN_IF_ERROR(CheckInclude(scope, num_items()));
   ANONSAFE_ASSIGN_OR_RETURN(
       double sum, exec::ParallelSumChunks(
                       ctx, num_runs(), /*grain=*/1,
                       [&](size_t begin, size_t /*end*/) -> Result<double> {
                         return RunOEstimateFromCache(observed, cache, begin,
-                                                     alpha, nullptr, weights,
-                                                     options);
-                      }));
-  return sum / static_cast<double>(num_runs());
-}
-
-Result<double> AlphaCompliancySweep::AverageOEstimateForItems(
-    const FrequencyGroups& observed, const ProbeCache& cache, double alpha,
-    const std::vector<bool>& interest, const OEstimateOptions& options,
-    exec::ExecContext* ctx) const {
-  ANONSAFE_SCOPED_TIMER("core.alpha_sweep_avg");
-  if (cache.base.size() != num_items() ||
-      cache.displaced.size() != num_items()) {
-    return Status::InvalidArgument("probe cache size mismatch");
-  }
-  if (interest.size() != num_items()) {
-    return Status::InvalidArgument("interest mask size mismatch");
-  }
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double sum, exec::ParallelSumChunks(
-                      ctx, num_runs(), /*grain=*/1,
-                      [&](size_t begin, size_t /*end*/) -> Result<double> {
-                        return RunOEstimateFromCache(observed, cache, begin,
-                                                     alpha, &interest,
-                                                     /*weights=*/nullptr,
-                                                     options);
+                                                     alpha, scope, options);
                       }));
   return sum / static_cast<double>(num_runs());
 }
 
 Result<double> AlphaCompliancySweep::AverageOEstimate(
     const FrequencyGroups& observed, double alpha,
-    const OEstimateOptions& options, exec::ExecContext* ctx) const {
+    const OEstimateOptions& options, exec::ExecContext* ctx,
+    const OEstimateScope& scope) const {
   ANONSAFE_SCOPED_TIMER("core.alpha_sweep_avg");
+  ANONSAFE_RETURN_IF_ERROR(CheckInclude(scope, num_items()));
   // One run per chunk: runs are independent and each is a full graph
   // build, so the unit of work is already coarse. The inner O-estimate
   // runs sequentially (ctx = nullptr) — the parallelism lives here.
@@ -192,37 +178,12 @@ Result<double> AlphaCompliancySweep::AverageOEstimate(
           ctx, num_runs(), /*grain=*/1,
           [&](size_t begin, size_t /*end*/) -> Result<double> {
             AlphaCompliantBelief ab = BeliefAtImpl(begin, alpha);
+            IntersectInclude(scope.include, &ab.compliant_mask);
             ANONSAFE_ASSIGN_OR_RETURN(
                 OEstimateResult oe,
-                ComputeOEstimateRestricted(observed, ab.belief,
-                                           ab.compliant_mask, options));
-            return oe.expected_cracks;
-          }));
-  return sum / static_cast<double>(num_runs());
-}
-
-Result<double> AlphaCompliancySweep::AverageOEstimateForItems(
-    const FrequencyGroups& observed, double alpha,
-    const std::vector<bool>& interest,
-    const OEstimateOptions& options, exec::ExecContext* ctx) const {
-  if (interest.size() != num_items()) {
-    return Status::InvalidArgument("interest mask size mismatch");
-  }
-  ANONSAFE_SCOPED_TIMER("core.alpha_sweep_avg");
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double sum,
-      exec::ParallelSumChunks(
-          ctx, num_runs(), /*grain=*/1,
-          [&](size_t begin, size_t /*end*/) -> Result<double> {
-            AlphaCompliantBelief ab = BeliefAtImpl(begin, alpha);
-            std::vector<bool> mask(num_items());
-            for (size_t x = 0; x < num_items(); ++x) {
-              mask[x] = ab.compliant_mask[x] && interest[x];
-            }
-            ANONSAFE_ASSIGN_OR_RETURN(
-                OEstimateResult oe,
-                ComputeOEstimateRestricted(observed, ab.belief, mask,
-                                           options));
+                ComputeOEstimate(observed, ab.belief, options,
+                                 /*ctx=*/nullptr,
+                                 {&ab.compliant_mask, scope.weights}));
             return oe.expected_cracks;
           }));
   return sum / static_cast<double>(num_runs());

@@ -58,63 +58,46 @@ class AlphaCompliancySweep {
   Result<AlphaCompliantBelief> BeliefAt(size_t run, double alpha) const;
 
   /// \brief Average over runs of the α-restricted O-estimate (absolute
-  /// expected cracks, Section 5.3).
+  /// expected cracks, Section 5.3): each run sums only its compliant
+  /// items, further restricted to `scope.include` when set (the Lemma 4
+  /// "items of interest" scenario) and weighted by `scope.weights` when
+  /// set (a weighted adversary model). Displaced items are masked out
+  /// either way, so their base-range-aligned weights never apply to a
+  /// displaced range. The default scope is the historical uniform path.
   ///
-  /// With a non-null `ctx` the independent runs evaluate on the pool;
-  /// per-run estimates land in fixed slots and are combined with a
-  /// fixed-order pairwise sum, so the average is bit-identical for any
-  /// thread count.
+  /// This overload materializes each run's belief function; it is the
+  /// reference the cached overload below is tested against. With a
+  /// non-null `ctx` the independent runs evaluate on the pool; per-run
+  /// estimates land in fixed slots and are combined with a fixed-order
+  /// pairwise sum, so the average is bit-identical for any thread count.
   Result<double> AverageOEstimate(const FrequencyGroups& observed,
                                   double alpha,
                                   const OEstimateOptions& options = {},
-                                  exec::ExecContext* ctx = nullptr) const;
+                                  exec::ExecContext* ctx = nullptr,
+                                  const OEstimateScope& scope = {}) const;
 
   /// \brief Cached variant: identical value (bit-for-bit) to the overload
   /// above, but each run replays the precomputed stab ranges instead of
   /// re-stabbing every interval and materializing a belief function.
   /// `cache` must come from `MakeProbeCache(observed)`.
-  ///
-  /// `weights` (optional) carries a weighted adversary model's per-item
-  /// weights: compliant items are then summed with the weighted
-  /// outdegree instead of 1/O_x. Displaced items are masked out of the
-  /// sum either way, so their (base-range-aligned) weights never apply
-  /// to a displaced range. Null reproduces the historical uniform path
-  /// bit-for-bit.
-  Result<double> AverageOEstimate(
-      const FrequencyGroups& observed, const ProbeCache& cache, double alpha,
-      const OEstimateOptions& options = {}, exec::ExecContext* ctx = nullptr,
-      const std::vector<adversary::ItemWeight>* weights = nullptr) const;
-
-  /// \brief Same, but additionally restricted to items with
-  /// `interest[x]` true (the Lemma 4 "items of interest" scenario): each
-  /// run sums only over compliant ∧ interesting items.
-  Result<double> AverageOEstimateForItems(
-      const FrequencyGroups& observed, double alpha,
-      const std::vector<bool>& interest,
-      const OEstimateOptions& options = {},
-      exec::ExecContext* ctx = nullptr) const;
-
-  /// \brief Cached variant of `AverageOEstimateForItems` (see the cached
-  /// `AverageOEstimate` overload).
-  Result<double> AverageOEstimateForItems(
-      const FrequencyGroups& observed, const ProbeCache& cache, double alpha,
-      const std::vector<bool>& interest,
-      const OEstimateOptions& options = {},
-      exec::ExecContext* ctx = nullptr) const;
+  Result<double> AverageOEstimate(const FrequencyGroups& observed,
+                                  const ProbeCache& cache, double alpha,
+                                  const OEstimateOptions& options = {},
+                                  exec::ExecContext* ctx = nullptr,
+                                  const OEstimateScope& scope = {}) const;
 
  private:
   /// BeliefAt without the run bounds check, for internal loops over
   /// valid run indices.
   AlphaCompliantBelief BeliefAtImpl(size_t run, double alpha) const;
 
-  /// Shared core of the cached overloads: one run's restricted
-  /// O-estimate from replayed stab ranges (weighted when `weights` is
-  /// non-null).
-  Result<double> RunOEstimateFromCache(
-      const FrequencyGroups& observed, const ProbeCache& cache, size_t run,
-      double alpha, const std::vector<bool>* interest,
-      const std::vector<adversary::ItemWeight>* weights,
-      const OEstimateOptions& options) const;
+  /// Shared core of the cached overload: one run's scoped O-estimate
+  /// from replayed stab ranges.
+  Result<double> RunOEstimateFromCache(const FrequencyGroups& observed,
+                                       const ProbeCache& cache, size_t run,
+                                       double alpha,
+                                       const OEstimateScope& scope,
+                                       const OEstimateOptions& options) const;
 
   AlphaCompliancySweep(BeliefFunction base,
                        std::vector<BeliefInterval> displaced,

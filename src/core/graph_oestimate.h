@@ -28,8 +28,10 @@ Result<OEstimateResult> ComputeOEstimateOnGraph(
 /// Strictly dominates Figure 7 propagation: every degree-1 forcing is a
 /// special case of pruning, and tight-set artifacts like Figure 6(b)'s
 /// irrelevant edge are eliminated too, so
-///   naive OE <= propagated OE <= refined OE <= exact E(X).
-/// Exact whenever each matching-cover component is complete bipartite
+///   naive OE <= propagated OE <= refined OE.
+/// `refined OE <= exact E(X)` is not a known theorem; it holds on every
+/// instance tested so far (THEORY.md). Exact whenever each
+/// matching-cover component is complete bipartite
 /// (in particular for the ignorant and point-valued extremes and for
 /// Figure 6(b), where the plain O-estimate is biased).
 ///

@@ -7,18 +7,15 @@
 namespace anonsafe {
 namespace {
 
-/// Shared tail: propagation + restricted crack-probability sum over a
-/// built structure. Both the belief-driven and the precomputed-ranges
-/// entry points land here, so the paths cannot drift apart numerically.
-///
-/// With null `weights` each alive item contributes the paper's uniform
-/// 1/O_x. With weights (a weighted adversary model) it contributes
-/// w_x(g_x) / Σ_{g ∈ range} w_x(g)·remaining(g) — the weighted
-/// outdegree, which is exactly 1/O_x when all weights are equal.
-Result<OEstimateResult> FinishImpl(
-    ConsistencyStructure cs, const std::vector<bool>* include,
-    const std::vector<adversary::ItemWeight>* weights,
-    const OEstimateOptions& options, exec::ExecContext* ctx) {
+/// Shared tail: propagation + scoped crack-probability sum over a built
+/// structure. Both overloads land here, so the paths cannot drift apart
+/// numerically.
+Result<OEstimateResult> Finish(ConsistencyStructure cs,
+                               const OEstimateScope& scope,
+                               const OEstimateOptions& options,
+                               exec::ExecContext* ctx) {
+  const std::vector<bool>* include = scope.include;
+  const std::vector<adversary::ItemWeight>* weights = scope.weights;
   obs::ScopedTimer timer("core.oestimate");
   OEstimateResult out;
   if (options.propagate) {
@@ -92,24 +89,11 @@ Result<OEstimateResult> FinishImpl(
   return out;
 }
 
-Result<OEstimateResult> ComputeImpl(const FrequencyGroups& observed,
-                                    const BeliefFunction& belief,
-                                    const std::vector<bool>* include,
-                                    const OEstimateOptions& options,
-                                    exec::ExecContext* ctx) {
-  if (include != nullptr && include->size() != belief.num_items()) {
+Status CheckScope(const OEstimateScope& scope, size_t num_items) {
+  if (scope.include != nullptr && scope.include->size() != num_items) {
     return Status::InvalidArgument("include mask size mismatch");
   }
-  ANONSAFE_ASSIGN_OR_RETURN(
-      ConsistencyStructure cs,
-      ConsistencyStructure::Build(observed, belief, ctx));
-  return FinishImpl(std::move(cs), include, /*weights=*/nullptr, options,
-                    ctx);
-}
-
-Status CheckWeights(const std::vector<adversary::ItemWeight>& weights,
-                    size_t num_items) {
-  if (weights.size() != num_items) {
+  if (scope.weights != nullptr && scope.weights->size() != num_items) {
     return Status::InvalidArgument("adversary weights size mismatch");
   }
   return Status::OK();
@@ -120,60 +104,25 @@ Status CheckWeights(const std::vector<adversary::ItemWeight>& weights,
 Result<OEstimateResult> ComputeOEstimate(const FrequencyGroups& observed,
                                          const BeliefFunction& belief,
                                          const OEstimateOptions& options,
-                                         exec::ExecContext* ctx) {
-  return ComputeImpl(observed, belief, nullptr, options, ctx);
+                                         exec::ExecContext* ctx,
+                                         const OEstimateScope& scope) {
+  ANONSAFE_RETURN_IF_ERROR(CheckScope(scope, belief.num_items()));
+  ANONSAFE_ASSIGN_OR_RETURN(
+      ConsistencyStructure cs,
+      ConsistencyStructure::Build(observed, belief, ctx));
+  return Finish(std::move(cs), scope, options, ctx);
 }
 
-Result<OEstimateResult> ComputeOEstimateRestricted(
-    const FrequencyGroups& observed, const BeliefFunction& belief,
-    const std::vector<bool>& include, const OEstimateOptions& options,
-    exec::ExecContext* ctx) {
-  return ComputeImpl(observed, belief, &include, options, ctx);
-}
-
-Result<OEstimateResult> ComputeOEstimateFromRanges(
+Result<OEstimateResult> ComputeOEstimate(
     const FrequencyGroups& observed,
     const std::vector<ItemStabRange>& ranges,
-    const std::vector<bool>& include, const OEstimateOptions& options,
-    exec::ExecContext* ctx) {
-  if (include.size() != ranges.size()) {
-    return Status::InvalidArgument("include mask size mismatch");
-  }
+    const OEstimateOptions& options, exec::ExecContext* ctx,
+    const OEstimateScope& scope) {
+  ANONSAFE_RETURN_IF_ERROR(CheckScope(scope, ranges.size()));
   ANONSAFE_ASSIGN_OR_RETURN(
       ConsistencyStructure cs,
       ConsistencyStructure::BuildFromRanges(observed, ranges));
-  return FinishImpl(std::move(cs), &include, /*weights=*/nullptr, options,
-                    ctx);
-}
-
-Result<OEstimateResult> ComputeOEstimateForModel(
-    const FrequencyGroups& observed, const adversary::AdversaryModel& model,
-    const OEstimateOptions& options, exec::ExecContext* ctx) {
-  if (!model.weighted()) {
-    return ComputeOEstimate(observed, model.belief, options, ctx);
-  }
-  ANONSAFE_RETURN_IF_ERROR(
-      CheckWeights(model.weights, model.belief.num_items()));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      ConsistencyStructure cs,
-      ConsistencyStructure::Build(observed, model.belief, ctx));
-  return FinishImpl(std::move(cs), nullptr, &model.weights, options, ctx);
-}
-
-Result<OEstimateResult> ComputeOEstimateFromRangesWeighted(
-    const FrequencyGroups& observed,
-    const std::vector<ItemStabRange>& ranges,
-    const std::vector<bool>& include,
-    const std::vector<adversary::ItemWeight>& weights,
-    const OEstimateOptions& options, exec::ExecContext* ctx) {
-  if (include.size() != ranges.size()) {
-    return Status::InvalidArgument("include mask size mismatch");
-  }
-  ANONSAFE_RETURN_IF_ERROR(CheckWeights(weights, ranges.size()));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      ConsistencyStructure cs,
-      ConsistencyStructure::BuildFromRanges(observed, ranges));
-  return FinishImpl(std::move(cs), &include, &weights, options, ctx);
+  return Finish(std::move(cs), scope, options, ctx);
 }
 
 }  // namespace anonsafe

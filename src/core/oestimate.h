@@ -45,6 +45,29 @@ struct OEstimateResult {
   double fraction = 0.0;
 };
 
+/// \brief Which items an O-estimate counts, and with what weight. The
+/// consistency graph (and propagation) always involves *all* items; the
+/// scope only changes the final crack-probability sum.
+///
+///  - `include` (optional, one entry per item): sum only items with
+///    `include[x]` true — the α-compliant estimate of Section 5.3 (the
+///    compliant mask) or a Lemma 2/4 "items of interest" estimate.
+///    `fraction` stays relative to the full domain size.
+///  - `weights` (optional, one entry per item, each aligned with the
+///    item's stab range): a weighted adversary model. An alive item x
+///    then contributes
+///      p_x = w_x(g_x) / Σ_{g ∈ range(x)} w_x(g) · remaining(g)
+///    instead of 1/O_x; the two agree when all weights are equal.
+///    Forced items still count 1, dead items 0 — propagation is
+///    structural and weight-independent. Masked-out items never
+///    consult their weights.
+///
+/// The default scope is the paper's plain OE(β, D) over every item.
+struct OEstimateScope {
+  const std::vector<bool>* include = nullptr;
+  const std::vector<adversary::ItemWeight>* weights = nullptr;
+};
+
 /// \brief Computes the O-estimate OE(β, D) of the expected number of
 /// cracks for a general interval belief function (Section 5.1, Fig. 5).
 ///
@@ -53,65 +76,27 @@ struct OEstimateResult {
 /// prefix-sum lookups, and propagation (when enabled) refines them.
 /// With a non-null `ctx` the graph build and the per-item outdegree
 /// reads run on the pool; the reduction uses fixed per-chunk slots, so
-/// the result is bit-identical for any thread count.
+/// the result is bit-identical for any thread count. A scope mask or
+/// weight vector of the wrong size is InvalidArgument.
 Result<OEstimateResult> ComputeOEstimate(const FrequencyGroups& observed,
                                          const BeliefFunction& belief,
                                          const OEstimateOptions& options = {},
-                                         exec::ExecContext* ctx = nullptr);
+                                         exec::ExecContext* ctx = nullptr,
+                                         const OEstimateScope& scope = {});
 
-/// \brief O-estimate restricted to items with `include[x]` true: the
-/// α-compliant estimate of Section 5.3 (pass the compliant mask), or a
-/// Lemma 2/4-style "items of interest" estimate. The graph (and
-/// propagation) still involves *all* items — only the final sum is
-/// restricted. `fraction` stays relative to the full domain size.
-Result<OEstimateResult> ComputeOEstimateRestricted(
-    const FrequencyGroups& observed, const BeliefFunction& belief,
-    const std::vector<bool>& include, const OEstimateOptions& options = {},
-    exec::ExecContext* ctx = nullptr);
-
-/// \brief Restricted O-estimate from *precomputed* per-item stab ranges
+/// \brief The same estimate from *precomputed* per-item stab ranges
 /// (`observed.Stab` of each item's belief interval), skipping interval
 /// stabbing and belief-function construction entirely. Bit-identical to
-/// `ComputeOEstimateRestricted` fed the equivalent belief. This is the
-/// per-probe core of the recipe's α bisection: the candidate intervals
-/// never change across probes, only the compliant/displaced selection
-/// does, so the ranges are cached once and replayed (see
+/// the belief overload fed the equivalent belief. This is the per-probe
+/// core of the recipe's α bisection: the candidate intervals never
+/// change across probes, only the compliant/displaced selection does,
+/// so the ranges are cached once and replayed (see
 /// `AlphaCompliancySweep::MakeProbeCache`).
-Result<OEstimateResult> ComputeOEstimateFromRanges(
+Result<OEstimateResult> ComputeOEstimate(
     const FrequencyGroups& observed,
     const std::vector<ItemStabRange>& ranges,
-    const std::vector<bool>& include, const OEstimateOptions& options = {},
-    exec::ExecContext* ctx = nullptr);
-
-/// \brief O-estimate of a bound adversary model: the uniform 1/O_x path
-/// for unweighted models (bit-identical to `ComputeOEstimate` on
-/// `model.belief`), the weighted outdegree for weighted ones. This is
-/// the seam the Fig. 8 recipe dispatches through — core code consumes
-/// the adversary's consistency support instead of reaching into
-/// `BeliefInterval` directly.
-///
-/// Weighted crack probability of an alive item x with window weights w:
-///   p_x = w_x(g_x) / Σ_{g ∈ range(x)} w_x(g) · remaining(g)
-/// which reduces to the paper's 1/O_x when all weights are equal.
-/// Forced items still count 1, dead items 0 — propagation is structural
-/// and weight-independent.
-Result<OEstimateResult> ComputeOEstimateForModel(
-    const FrequencyGroups& observed, const adversary::AdversaryModel& model,
-    const OEstimateOptions& options = {}, exec::ExecContext* ctx = nullptr);
-
-/// \brief Weighted restricted O-estimate from precomputed stab ranges —
-/// the weighted counterpart of `ComputeOEstimateFromRanges`, used by the
-/// α bisection when the bound adversary is weighted. `weights` must
-/// have one entry per item, each aligned with the item's *base* stab
-/// range; only included items are summed, so displaced (masked-out)
-/// items never consult their weights.
-Result<OEstimateResult> ComputeOEstimateFromRangesWeighted(
-    const FrequencyGroups& observed,
-    const std::vector<ItemStabRange>& ranges,
-    const std::vector<bool>& include,
-    const std::vector<adversary::ItemWeight>& weights,
-    const OEstimateOptions& options = {},
-    exec::ExecContext* ctx = nullptr);
+    const OEstimateOptions& options = {}, exec::ExecContext* ctx = nullptr,
+    const OEstimateScope& scope = {});
 
 }  // namespace anonsafe
 

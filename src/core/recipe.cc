@@ -4,7 +4,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "belief/builders.h"
 #include "core/alpha_sweep.h"
 #include "core/exact_formulas.h"
 #include "estimator/estimators.h"
@@ -98,12 +97,13 @@ Status ValidateRecipeOptions(const RecipeOptions& options) {
                                    "' (known: " + known + ")");
   }
   ANONSAFE_RETURN_IF_ERROR(adv->ValidateParams(options.adversary_params));
-  if (adv->Describe().weighted && options.estimator != EstimatorKind::kOe) {
-    // Weighted consistency has no planner/exact/sampler semantics yet;
-    // refusing here beats silently dropping the weights.
+  if (adv->Describe().weighted &&
+      !MakeEstimator(options.estimator)->supports_weights()) {
+    // Refusing here, before any work, beats failing mid-recipe.
     return Status::Unimplemented(
         std::string("adversary '") + adv->name() +
-        "' produces weighted models, which only estimator=oe supports");
+        "' produces weighted models, which estimator=" +
+        EstimatorKindName(options.estimator) + " does not support");
   }
   return Status::OK();
 }
@@ -167,6 +167,35 @@ ArtifactsView SnapshotArtifacts(RecipeArtifacts* artifacts,
   return view;
 }
 
+/// The items-of-interest restriction (Lemmas 2/4) rides on the
+/// O-estimate's include mask and on the interval adversary: the planner
+/// has no per-item accounting of foreign blocks, and only the interval
+/// adversary has been validated against the interest accounting.
+/// Returns |interest|.
+Result<size_t> CheckInterest(const FrequencyTable& table,
+                             const RecipeOptions& options,
+                             const std::vector<bool>& interest) {
+  if (options.estimator != EstimatorKind::kOe) {
+    return Status::InvalidArgument(
+        "items of interest support only estimator=oe");
+  }
+  if (options.adversary != "interval") {
+    return Status::Unimplemented(
+        "items of interest support only adversary=interval");
+  }
+  if (interest.size() != table.num_items()) {
+    return Status::InvalidArgument("interest mask size mismatch");
+  }
+  size_t num_interest = 0;
+  for (bool b : interest) {
+    if (b) ++num_interest;
+  }
+  if (num_interest == 0) {
+    return Status::InvalidArgument("interest mask selects no items");
+  }
+  return num_interest;
+}
+
 Status CheckCancelled(const exec::ExecContext* ctx) {
   if (ctx != nullptr && ctx->cancelled()) {
     return Status::Cancelled("assess-risk cancelled");
@@ -179,8 +208,14 @@ Status CheckCancelled(const exec::ExecContext* ctx) {
 Result<RecipeResult> AssessRisk(const FrequencyTable& table,
                                 const RecipeOptions& options,
                                 exec::ExecContext* external_ctx,
-                                RecipeArtifacts* artifacts) {
+                                RecipeArtifacts* artifacts,
+                                const std::vector<bool>* interest) {
   ANONSAFE_RETURN_IF_ERROR(ValidateRecipeOptions(options));
+  size_t num_items = table.num_items();
+  if (interest != nullptr) {
+    ANONSAFE_ASSIGN_OR_RETURN(num_items,
+                              CheckInterest(table, options, *interest));
+  }
   const exec::ExecOptions exec_options = options.exec;
   // The thread pool only schedules; values never depend on it, so an
   // external context (whatever its thread count) is bit-identical to the
@@ -197,12 +232,11 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
 
   RecipeResult out;
   out.tolerance = options.tolerance;
-  out.num_items = table.num_items();
+  out.num_items = num_items;  // decisions are relative to |interest|
   out.estimator = options.estimator;
   out.adversary = options.adversary;
   out.adversary_params = options.adversary_params;
-  out.crack_budget =
-      options.tolerance * static_cast<double>(table.num_items());
+  out.crack_budget = options.tolerance * static_cast<double>(num_items);
 
   // Validated above; the registry pointer is a process-lifetime singleton.
   const adversary::Adversary& adv =
@@ -233,14 +267,23 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
   const FrequencyGroups& groups = *groups_ptr;
   out.num_groups = groups.num_groups();
 
-  // Steps 1-2: the point-valued worst case (Lemma 3).
+  // Steps 1-2: the point-valued worst case — g itself (Lemma 3), or
+  // Σ c_i/n_i over the groups for items of interest (Lemma 4).
   {
     obs::ScopedTimer step("recipe.point_valued_check");
+    double point_valued = static_cast<double>(out.num_groups);
+    if (interest != nullptr) {
+      ANONSAFE_ASSIGN_OR_RETURN(
+          point_valued, PointValuedExpectedCracksOfInterest(groups, *interest));
+    }
     if (step.tracing()) {
       step.Annotate("g", std::to_string(out.num_groups));
+      if (interest != nullptr) {
+        step.Annotate("point_valued", TablePrinter::FmtG(point_valued, 4));
+      }
       step.Annotate("budget", TablePrinter::FmtG(out.crack_budget, 4));
     }
-    if (static_cast<double>(out.num_groups) <= out.crack_budget) {
+    if (point_valued <= out.crack_budget) {
       out.decision = RecipeDecision::kDiscloseAtPointValued;
       if (recipe_timer.tracing()) {
         recipe_timer.Annotate("decision", ToString(out.decision));
@@ -274,33 +317,17 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
   } else {
     obs::CountIf("anonsafe_recipe_artifact_hits_total");
   }
-  const BeliefFunction& base = model->belief;
-  if (options.estimator == EstimatorKind::kOe) {
-    // The historical default path: for unweighted models this is the
-    // plain O-estimate on the model's belief, bit-identical to releases
-    // that predate the estimator and adversary knobs.
-    ANONSAFE_ASSIGN_OR_RETURN(
-        OEstimateResult oe,
-        ComputeOEstimateForModel(groups, *model, options.oestimate, ctx));
-    out.interval_oe = oe.expected_cracks;
-  } else {
-    if (model->weighted()) {
-      return Status::Unimplemented(
-          "adversary '" + model->adversary +
-          "' produces weighted models, which only estimator=oe supports");
-    }
-    EstimatorConfig config;
-    config.planner = options.planner;
-    config.oestimate = options.oestimate;
-    config.sampler.exec = exec_options;
-    std::unique_ptr<CrackEstimator> estimator =
-        MakeEstimator(options.estimator, config);
-    ANONSAFE_ASSIGN_OR_RETURN(CrackEstimate estimate,
-                              estimator->Estimate(groups, base, ctx));
-    out.interval_oe = estimate.expected_cracks;
-    out.interval_exact = estimate.exact;
-    out.interval_blocks = std::move(estimate.blocks);
-  }
+  EstimatorConfig config;
+  config.planner = options.planner;
+  config.oestimate = options.oestimate;
+  config.sampler.exec = exec_options;
+  ANONSAFE_ASSIGN_OR_RETURN(
+      CrackEstimate estimate,
+      MakeEstimator(options.estimator, config)
+          ->Estimate(groups, *model, ctx, interest));
+  out.interval_oe = estimate.expected_cracks;
+  out.interval_exact = estimate.exact;
+  out.interval_blocks = std::move(estimate.blocks);
   if (interval_timer.tracing()) {
     interval_timer.Annotate("estimator",
                             EstimatorKindName(options.estimator));
@@ -327,7 +354,7 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
   if (sweep == nullptr || probe_cache == nullptr) {
     ANONSAFE_ASSIGN_OR_RETURN(
         AlphaCompliancySweep built,
-        AlphaCompliancySweep::Create(table, base, exec_options.runs,
+        AlphaCompliancySweep::Create(table, model->belief, exec_options.runs,
                                      exec_options.seed));
     sweep = std::make_shared<const AlphaCompliancySweep>(std::move(built));
     // Every probe uses the same two candidate intervals per item; stab
@@ -345,6 +372,8 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
   } else {
     obs::CountIf("anonsafe_recipe_artifact_hits_total");
   }
+  const OEstimateScope scope{
+      interest, model->weighted() ? &model->weights : nullptr};
   double lo = 0.0;  // OE(0) = 0 <= budget always
   double hi = 1.0;  // OE(1) > budget (checked above)
   for (size_t iter = 0; iter < options.binary_search_iterations; ++iter) {
@@ -355,9 +384,7 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
     ANONSAFE_ASSIGN_OR_RETURN(
         double avg_oe,
         sweep->AverageOEstimate(groups, *probe_cache, mid, options.oestimate,
-                                ctx,
-                                model->weighted() ? &model->weights
-                                                  : nullptr));
+                                ctx, scope));
     if (probe.tracing()) {
       probe.Annotate("alpha", TablePrinter::FmtG(mid, 4));
       probe.Annotate("avg_oe", TablePrinter::FmtG(avg_oe, 4));
@@ -384,131 +411,6 @@ Result<RecipeResult> AssessRiskOnDatabase(const Database& db,
                                           const RecipeOptions& options) {
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table, FrequencyTable::Compute(db));
   return AssessRisk(table, options);
-}
-
-Result<RecipeResult> AssessRiskForItems(const FrequencyTable& table,
-                                        const std::vector<bool>& interest,
-                                        const RecipeOptions& options) {
-  ANONSAFE_RETURN_IF_ERROR(ValidateRecipeOptions(options));
-  if (options.estimator != EstimatorKind::kOe) {
-    // Interest restriction needs the restricted O-estimate machinery; the
-    // planner has no per-item accounting of foreign blocks yet.
-    return Status::InvalidArgument(
-        "AssessRiskForItems supports only estimator=oe");
-  }
-  if (options.adversary != "interval") {
-    // The interest-restricted path still builds its own compliant
-    // interval belief; routing it through the adversary registry is
-    // future work.
-    return Status::Unimplemented(
-        "AssessRiskForItems supports only adversary=interval");
-  }
-  if (interest.size() != table.num_items()) {
-    return Status::InvalidArgument("interest mask size mismatch");
-  }
-  size_t num_interest = 0;
-  for (bool b : interest) {
-    if (b) ++num_interest;
-  }
-  if (num_interest == 0) {
-    return Status::InvalidArgument("interest mask selects no items");
-  }
-  const exec::ExecOptions exec_options = options.exec;
-  exec::ExecContext ctx(exec_options);
-  obs::ScopedTimer recipe_timer("recipe.assess_risk_items");
-  obs::CountIf("anonsafe_recipe_runs_total");
-
-  RecipeResult out;
-  out.tolerance = options.tolerance;
-  out.num_items = num_interest;  // decisions are relative to |interest|
-  out.crack_budget = options.tolerance * static_cast<double>(num_interest);
-
-  obs::ScopedTimer build_timer("recipe.group_build");
-  FrequencyGroups groups = FrequencyGroups::Build(table);
-  build_timer.Stop();
-  out.num_groups = groups.num_groups();
-
-  // Step 2, Lemma 4 form: sum of c_i/n_i over frequency groups.
-  {
-    obs::ScopedTimer step("recipe.point_valued_check");
-    ANONSAFE_ASSIGN_OR_RETURN(
-        double point_valued,
-        PointValuedExpectedCracksOfInterest(groups, interest));
-    if (step.tracing()) {
-      step.Annotate("point_valued", TablePrinter::FmtG(point_valued, 4));
-      step.Annotate("budget", TablePrinter::FmtG(out.crack_budget, 4));
-    }
-    if (point_valued <= out.crack_budget) {
-      out.decision = RecipeDecision::kDiscloseAtPointValued;
-      if (recipe_timer.tracing()) {
-        recipe_timer.Annotate("decision", ToString(out.decision));
-      }
-      return out;
-    }
-  }
-
-  obs::ScopedTimer interval_timer("recipe.interval_check");
-  out.delta_med = groups.MedianGap();
-  ANONSAFE_ASSIGN_OR_RETURN(
-      BeliefFunction base,
-      MakeCompliantIntervalBelief(table, out.delta_med));
-
-  ANONSAFE_ASSIGN_OR_RETURN(
-      OEstimateResult oe,
-      ComputeOEstimateRestricted(groups, base, interest,
-                                 options.oestimate, &ctx));
-  out.interval_oe = oe.expected_cracks;
-  if (interval_timer.tracing()) {
-    interval_timer.Annotate("delta_med", TablePrinter::FmtG(out.delta_med, 4));
-    interval_timer.Annotate("interval_oe",
-                            TablePrinter::FmtG(out.interval_oe, 4));
-  }
-  interval_timer.Stop();
-  if (out.interval_oe <= out.crack_budget) {
-    out.decision = RecipeDecision::kDiscloseAtInterval;
-    if (recipe_timer.tracing()) {
-      recipe_timer.Annotate("decision", ToString(out.decision));
-    }
-    return out;
-  }
-
-  obs::ScopedTimer alpha_timer("recipe.alpha_search");
-  ANONSAFE_ASSIGN_OR_RETURN(
-      AlphaCompliancySweep sweep,
-      AlphaCompliancySweep::Create(table, base, exec_options.runs,
-                                   exec_options.seed));
-  const AlphaCompliancySweep::ProbeCache probe_cache =
-      sweep.MakeProbeCache(groups);
-  double lo = 0.0;
-  double hi = 1.0;
-  for (size_t iter = 0; iter < options.binary_search_iterations; ++iter) {
-    double mid = (lo + hi) / 2.0;
-    obs::ScopedTimer probe("recipe.alpha_probe");
-    obs::CountIf("anonsafe_alpha_probes_total");
-    ANONSAFE_ASSIGN_OR_RETURN(
-        double avg_oe,
-        sweep.AverageOEstimateForItems(groups, probe_cache, mid, interest,
-                                       options.oestimate, &ctx));
-    if (probe.tracing()) {
-      probe.Annotate("alpha", TablePrinter::FmtG(mid, 4));
-      probe.Annotate("avg_oe", TablePrinter::FmtG(avg_oe, 4));
-    }
-    if (avg_oe <= out.crack_budget) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  out.alpha_max = lo;
-  out.decision = RecipeDecision::kAlphaBound;
-  if (alpha_timer.tracing()) {
-    alpha_timer.Annotate("alpha_max", TablePrinter::FmtG(out.alpha_max, 4));
-  }
-  alpha_timer.Stop();
-  if (recipe_timer.tracing()) {
-    recipe_timer.Annotate("decision", ToString(out.decision));
-  }
-  return out;
 }
 
 }  // namespace anonsafe

@@ -47,9 +47,9 @@ struct RecipeOptions {
   /// plus its parameters. The default, "interval", is the paper's
   /// interval-valued belief and reproduces the historical pipeline
   /// bit-for-bit. Weighted adversaries (e.g. "probabilistic") are only
-  /// valid with `estimator == kOe` — the planner/exact/sampler engines
-  /// have no weighted semantics yet and reject with Unimplemented
-  /// instead of silently dropping the weights.
+  /// valid with an estimator whose `supports_weights()` is true (today
+  /// `kOe`); the others reject with Unimplemented instead of silently
+  /// dropping the weights.
   std::string adversary = "interval";
   adversary::AdversaryParams adversary_params;
 
@@ -142,28 +142,27 @@ std::shared_ptr<RecipeArtifacts> MakeRecipeArtifacts();
 /// the same instance only with the same table and the same `exec.seed` /
 /// `exec.runs` — entries are keyed on those knobs and recomputed on
 /// mismatch.
+///
+/// `interest` (optional) restricts the recipe to *items of interest*
+/// (the Lemma 2/4 scenario: the owner only cares about, say, the
+/// best-selling products or the sensitive diagnoses). The control flow
+/// is the same with every quantity restricted: step 2 uses the Lemma 4
+/// worst case Σ c_i/n_i against τ·|interest|, and steps 6-9 sum only the
+/// interesting items. The full domain still participates in the graph —
+/// uninteresting items keep camouflaging the interesting ones. The mask
+/// has one entry per item and must select at least one (InvalidArgument
+/// otherwise); it needs estimator=oe (InvalidArgument otherwise) and the
+/// interval adversary (Unimplemented otherwise). `num_items` then
+/// reports |interest|.
 Result<RecipeResult> AssessRisk(const FrequencyTable& table,
                                 const RecipeOptions& options = {},
                                 exec::ExecContext* ctx = nullptr,
-                                RecipeArtifacts* artifacts = nullptr);
+                                RecipeArtifacts* artifacts = nullptr,
+                                const std::vector<bool>* interest = nullptr);
 
 /// \brief Convenience overload counting frequencies from a database.
 Result<RecipeResult> AssessRiskOnDatabase(const Database& db,
                                           const RecipeOptions& options = {});
-
-/// \brief The recipe restricted to *items of interest* (the Lemma 2/4
-/// scenario: the owner only cares about, say, the best-selling products
-/// or the sensitive diagnoses).
-///
-/// Identical control flow to Figure 8 with every quantity restricted:
-/// step 2 uses the Lemma 4 worst case Σ c_i/n_i against τ·|interest|;
-/// steps 6-9 use interest-restricted O-estimates. The full domain still
-/// participates in the graph — uninteresting items keep camouflaging the
-/// interesting ones — only the crack accounting is restricted.
-/// `interest` is a mask over item ids; it must select at least one item.
-Result<RecipeResult> AssessRiskForItems(const FrequencyTable& table,
-                                        const std::vector<bool>& interest,
-                                        const RecipeOptions& options = {});
 
 }  // namespace anonsafe
 

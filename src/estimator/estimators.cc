@@ -60,6 +60,25 @@ Result<BlockMethod> ParseBlockMethod(const std::string& name) {
 
 namespace {
 
+/// Guard of the engines that see only the structural belief: a weighted
+/// model or an interest mask would otherwise be silently ignored.
+Status CheckUnscoped(const CrackEstimator& engine,
+                     const adversary::AdversaryModel& model,
+                     const std::vector<bool>* interest) {
+  if (model.weighted() && !engine.supports_weights()) {
+    return Status::Unimplemented(
+        "adversary '" + model.adversary +
+        "' produces weighted models, which estimator=" + engine.name() +
+        " does not support");
+  }
+  if (interest != nullptr) {
+    return Status::InvalidArgument(
+        std::string("items of interest need estimator=oe, not ") +
+        engine.name());
+  }
+  return Status::OK();
+}
+
 /// kAuto / kExact: the block-decomposed planner.
 class PlannerEstimator : public CrackEstimator {
  public:
@@ -73,10 +92,12 @@ class PlannerEstimator : public CrackEstimator {
     return require_exact_ ? "exact" : "auto";
   }
 
-  Result<CrackEstimate> Estimate(const FrequencyGroups& observed,
-                                 const BeliefFunction& belief,
-                                 exec::ExecContext* ctx) const override {
-    return PlanAndEstimate(observed, belief, options_, ctx);
+  Result<CrackEstimate> Estimate(
+      const FrequencyGroups& observed, const adversary::AdversaryModel& model,
+      exec::ExecContext* ctx,
+      const std::vector<bool>* interest) const override {
+    ANONSAFE_RETURN_IF_ERROR(CheckUnscoped(*this, model, interest));
+    return PlanAndEstimate(observed, model.belief, options_, ctx);
   }
 
  private:
@@ -91,11 +112,17 @@ class OEstimateEstimator : public CrackEstimator {
 
   const char* name() const override { return "oe"; }
 
-  Result<CrackEstimate> Estimate(const FrequencyGroups& observed,
-                                 const BeliefFunction& belief,
-                                 exec::ExecContext* ctx) const override {
+  bool supports_weights() const override { return true; }
+
+  Result<CrackEstimate> Estimate(
+      const FrequencyGroups& observed, const adversary::AdversaryModel& model,
+      exec::ExecContext* ctx,
+      const std::vector<bool>* interest) const override {
+    const OEstimateScope scope{
+        interest, model.weighted() ? &model.weights : nullptr};
     ANONSAFE_ASSIGN_OR_RETURN(
-        OEstimateResult oe, ComputeOEstimate(observed, belief, options_, ctx));
+        OEstimateResult oe,
+        ComputeOEstimate(observed, model.belief, options_, ctx, scope));
     CrackEstimate out;
     out.expected_cracks = oe.expected_cracks;
     out.exact = false;
@@ -114,12 +141,14 @@ class SamplerEstimator : public CrackEstimator {
 
   const char* name() const override { return "sampler"; }
 
-  Result<CrackEstimate> Estimate(const FrequencyGroups& observed,
-                                 const BeliefFunction& belief,
-                                 exec::ExecContext* ctx) const override {
+  Result<CrackEstimate> Estimate(
+      const FrequencyGroups& observed, const adversary::AdversaryModel& model,
+      exec::ExecContext* ctx,
+      const std::vector<bool>* interest) const override {
+    ANONSAFE_RETURN_IF_ERROR(CheckUnscoped(*this, model, interest));
     ANONSAFE_ASSIGN_OR_RETURN(
         MatchingSampler sampler,
-        MatchingSampler::Create(observed, belief, options_));
+        MatchingSampler::Create(observed, model.belief, options_));
     std::vector<size_t> counts = sampler.SampleCrackCounts(ctx);
     double sum = 0.0;
     for (size_t c : counts) sum += static_cast<double>(c);

@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <cmath>
 #include <fstream>
 #include <future>
 #include <sstream>
@@ -22,25 +23,40 @@ namespace anonsafe {
 namespace serve {
 namespace {
 
+/// Per-request ceilings on the exec params (docs/SERVER.md). Each
+/// request builds its own thread pool and each α probe evaluates `runs`
+/// O-estimates, so unbounded values let one line exhaust the process.
+constexpr uint64_t kMaxRequestThreads = 256;
+constexpr uint64_t kMaxRequestRuns = 1000;
+/// Integers above 2^53 are not exactly representable as JSON numbers.
+constexpr uint64_t kMaxExactInteger = uint64_t{1} << 53;
+
+/// One exec param: an integer in [0, max], or InvalidArgument.
+Result<uint64_t> ExecParam(const json::Value& params, const char* name,
+                           uint64_t fallback, uint64_t max) {
+  ANONSAFE_ASSIGN_OR_RETURN(
+      double value, params.GetNumberOr(name, static_cast<double>(fallback)));
+  if (!(value >= 0.0) || value != std::floor(value) ||
+      value > static_cast<double>(max)) {
+    return Status::InvalidArgument(std::string(name) +
+                                   " must be an integer in [0, " +
+                                   std::to_string(max) + "]");
+  }
+  return static_cast<uint64_t>(value);
+}
+
 /// Reads the generic execution params every compute verb understands.
 /// Defaults match the one-shot CLI (`RecipeOptions{}.exec`), so a request
 /// carrying only a dataset handle reproduces the CLI's output exactly.
 Result<exec::ExecOptions> ExecOptionsFromParams(const json::Value& params) {
   exec::ExecOptions eo;
   ANONSAFE_ASSIGN_OR_RETURN(
-      double seed, params.GetNumberOr("seed", static_cast<double>(eo.seed)));
+      eo.seed, ExecParam(params, "seed", eo.seed, kMaxExactInteger));
   ANONSAFE_ASSIGN_OR_RETURN(
-      double runs, params.GetNumberOr("runs", static_cast<double>(eo.runs)));
+      eo.runs, ExecParam(params, "runs", eo.runs, kMaxRequestRuns));
   ANONSAFE_ASSIGN_OR_RETURN(
-      double threads,
-      params.GetNumberOr("threads", static_cast<double>(eo.threads)));
-  if (seed < 0 || runs < 0 || threads < 0) {
-    return Status::InvalidArgument(
-        "seed/runs/threads must be non-negative integers");
-  }
-  eo.seed = static_cast<uint64_t>(seed);
-  eo.runs = static_cast<size_t>(runs);
-  eo.threads = static_cast<size_t>(threads);
+      eo.threads, ExecParam(params, "threads", eo.threads,
+                            kMaxRequestThreads));
   return eo;
 }
 

@@ -154,7 +154,8 @@ Status RunPlan(const CliInvocation& cli, std::ostream& out) {
                               adversary::ParseAdversarySpec(it->second));
   }
   const adversary::Adversary& adv = *adversary::Adversary::Find(spec.name);
-  if (adv.Describe().weighted) {
+  if (adv.Describe().weighted &&
+      !MakeEstimator(EstimatorKind::kAuto)->supports_weights()) {
     return Status::Unimplemented(
         "adversary '" + spec.name +
         "' produces weighted models, which the planner does not support; "

@@ -20,6 +20,7 @@
 #include "data/database.h"
 #include "data/frequency.h"
 #include "datagen/adversary_scenarios.h"
+#include "estimator/estimators.h"
 #include "util/rng.h"
 
 namespace anonsafe {
@@ -172,7 +173,7 @@ TEST(IntervalAdversaryTest, BindMatchesCompliantIntervalBelief) {
   }
 
   // And the model O-estimate is bit-identical to the historical one.
-  auto via_model = ComputeOEstimateForModel(groups, *model);
+  auto via_model = MakeEstimator(EstimatorKind::kOe)->Estimate(groups, *model);
   auto via_belief = ComputeOEstimate(groups, *legacy);
   ASSERT_TRUE(via_model.ok());
   ASSERT_TRUE(via_belief.ok());
@@ -225,7 +226,7 @@ TEST(ProbabilisticAdversaryTest, FlatWeightsReduceToUniformOEstimate) {
       Adversary::Find("probabilistic")->Bind(*table, groups, 0.0, params);
   ASSERT_TRUE(model.ok());
 
-  auto weighted = ComputeOEstimateForModel(groups, *model);
+  auto weighted = MakeEstimator(EstimatorKind::kOe)->Estimate(groups, *model);
   ASSERT_TRUE(weighted.ok());
   // Same structural belief, uniform weights: the weighted outdegree
   // collapses to the paper's 1/O_x.
@@ -248,7 +249,7 @@ TEST(ProbabilisticAdversaryTest, TighterSigmaRaisesRisk) {
     auto model =
         Adversary::Find("probabilistic")->Bind(*table, groups, 0.0, params);
     ASSERT_TRUE(model.ok());
-    auto oe = ComputeOEstimateForModel(groups, *model);
+    auto oe = MakeEstimator(EstimatorKind::kOe)->Estimate(groups, *model);
     ASSERT_TRUE(oe.ok());
     EXPECT_GT(oe->expected_cracks, prev) << "sigma=" << sigma;
     prev = oe->expected_cracks;
@@ -352,14 +353,14 @@ TEST(ExactSupportAdversaryTest, ConstrainedAttackOnTinyInstance) {
   EXPECT_NEAR(attack->distribution.expected, 1.5, 1e-9);
 }
 
-TEST(ExactSupportAdversaryTest, AssessRiskForItemsRejectsNonInterval) {
+TEST(ExactSupportAdversaryTest, InterestRecipeRejectsNonInterval) {
   auto table = MakeTable();
   ASSERT_TRUE(table.ok());
   RecipeOptions options;
   options.adversary = "exact_support";
   std::vector<bool> interest(table->num_items(), false);
   interest[0] = true;
-  auto result = AssessRiskForItems(*table, interest, options);
+  auto result = AssessRisk(*table, options, nullptr, nullptr, &interest);
   EXPECT_TRUE(result.status().IsUnimplemented());
 }
 

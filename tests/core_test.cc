@@ -160,11 +160,12 @@ TEST(OEstimateTest, RestrictedSumsOnlyIncludedItems) {
   opt.propagate = false;
   // Only the singleton-group items 1 (f=.4) and 4 (f=.3).
   std::vector<bool> include = {false, true, false, false, true, false};
-  auto oe = ComputeOEstimateRestricted(groups, *beta, include, opt);
+  auto oe =
+      ComputeOEstimate(groups, *beta, opt, nullptr, {.include = &include});
   ASSERT_TRUE(oe.ok());
   EXPECT_NEAR(oe->expected_cracks, 2.0, 1e-12);
   std::vector<bool> bad(3, true);
-  EXPECT_TRUE(ComputeOEstimateRestricted(groups, *beta, bad, opt)
+  EXPECT_TRUE(ComputeOEstimate(groups, *beta, opt, nullptr, {.include = &bad})
                   .status().IsInvalidArgument());
 }
 

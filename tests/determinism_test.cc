@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -448,6 +449,86 @@ TEST(DeterminismTest, SimilarityMatchesCopyingPathAcrossThreadCounts) {
       ASSERT_TRUE(shared_ctx.ok()) << label << ": " << shared_ctx.status();
       ExpectSameCurve(*want, *shared_ctx, label + " (caller's context)");
     }
+  }
+}
+
+// ------------------------------------------------- Items of interest
+
+// The items-of-interest recipe is the one Fig. 8 flow with an include
+// mask. An all-true mask must reproduce the unmasked run bit for bit
+// (Lemma 4's Σ c_i/n_i collapses to g; every sum keeps every item), and
+// an interest run replaying a shared RecipeArtifacts must match a fresh
+// one. Few distinct supports keep g small, so tolerances spread the
+// trials over all three decisions.
+TEST(DeterminismTest, InterestRecipeMatchesUnmaskedAndArtifactReplay) {
+  Rng rng(20261017);
+  std::vector<bool> seen_plain(3, false), seen_interest(3, false);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 40 + rng.UniformUint64(21);  // n in [40, 60]
+    const uint64_t spread = std::vector<uint64_t>{4, 12, 500}[trial % 3];
+    std::vector<SupportCount> supports(n);
+    for (size_t i = 0; i < n; ++i) {
+      supports[i] = static_cast<SupportCount>(1 + rng.UniformUint64(spread));
+    }
+    auto table = FrequencyTable::FromSupports(std::move(supports), 1000);
+    ASSERT_TRUE(table.ok()) << "trial " << trial;
+    const std::vector<bool> all(n, true);
+    std::vector<bool> interest(n, false);
+    interest[rng.UniformUint64(n)] = true;  // never empty
+    for (size_t x = 0; x < n; ++x) {
+      if (rng.UniformUint64(2) == 0) interest[x] = true;
+    }
+    const double tolerance =
+        std::vector<double>{0.5, 0.2, 0.05, 0.01}[rng.UniformUint64(4)];
+
+    std::vector<RecipeResult> interest_runs;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      const std::string label = "trial " + std::to_string(trial) + ", " +
+                                std::to_string(threads) + " threads";
+      RecipeOptions options;
+      options.tolerance = tolerance;
+      options.exec.threads = threads;
+
+      auto plain = AssessRisk(*table, options);
+      auto masked = AssessRisk(*table, options, nullptr, nullptr, &all);
+      ASSERT_TRUE(plain.ok()) << label << ": " << plain.status();
+      ASSERT_TRUE(masked.ok()) << label << ": " << masked.status();
+      EXPECT_EQ(masked->decision, plain->decision) << label;
+      EXPECT_EQ(Bits(masked->interval_oe), Bits(plain->interval_oe)) << label;
+      EXPECT_EQ(Bits(masked->alpha_max), Bits(plain->alpha_max)) << label;
+      EXPECT_EQ(masked->num_items, plain->num_items) << label;
+      seen_plain[static_cast<size_t>(plain->decision)] = true;
+
+      auto fresh = AssessRisk(*table, options, nullptr, nullptr, &interest);
+      ASSERT_TRUE(fresh.ok()) << label << ": " << fresh.status();
+      seen_interest[static_cast<size_t>(fresh->decision)] = true;
+      // One artifact cache, primed by an unmasked run, then replayed by
+      // two interest runs (the second also hits the cached α sweep).
+      std::shared_ptr<RecipeArtifacts> artifacts = MakeRecipeArtifacts();
+      ASSERT_TRUE(AssessRisk(*table, options, nullptr, artifacts.get()).ok());
+      for (int replay = 0; replay < 2; ++replay) {
+        auto reused =
+            AssessRisk(*table, options, nullptr, artifacts.get(), &interest);
+        ASSERT_TRUE(reused.ok()) << label << ": " << reused.status();
+        EXPECT_EQ(reused->decision, fresh->decision) << label;
+        EXPECT_EQ(Bits(reused->interval_oe), Bits(fresh->interval_oe))
+            << label;
+        EXPECT_EQ(Bits(reused->alpha_max), Bits(fresh->alpha_max)) << label;
+      }
+      interest_runs.push_back(*fresh);
+    }
+    EXPECT_EQ(interest_runs[1].decision, interest_runs[0].decision) << trial;
+    EXPECT_EQ(Bits(interest_runs[1].interval_oe),
+              Bits(interest_runs[0].interval_oe))
+        << trial;
+    EXPECT_EQ(Bits(interest_runs[1].alpha_max),
+              Bits(interest_runs[0].alpha_max))
+        << trial;
+  }
+  for (size_t d = 0; d < 3; ++d) {
+    EXPECT_TRUE(seen_plain[d]) << "no unmasked trial reached decision " << d;
+    EXPECT_TRUE(seen_interest[d]) << "no interest trial reached decision "
+                                  << d;
   }
 }
 

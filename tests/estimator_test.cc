@@ -60,6 +60,12 @@ Result<ChainFixture> MakeChain() {
   return ChainFixture{std::move(groups), std::move(belief)};
 }
 
+/// The unweighted adversary model the estimators consume, around a
+/// fixture's belief.
+adversary::AdversaryModel ModelOf(const BeliefFunction& belief) {
+  return adversary::AdversaryModel{"interval", {}, belief, {}};
+}
+
 /// Twelve items over three groups forming ONE connected block that is
 /// neither complete (two items have restricted intervals) nor a chain
 /// (the middle items span all three groups): the planner must fall back
@@ -404,31 +410,68 @@ TEST(MakeEstimatorTest, AdaptersReportNamesAndExactness) {
   EstimatorConfig config;
   auto auto_est = MakeEstimator(EstimatorKind::kAuto, config);
   EXPECT_STREQ(auto_est->name(), "auto");
-  auto auto_result = auto_est->Estimate(fixture->groups, fixture->belief);
+  const adversary::AdversaryModel model = ModelOf(fixture->belief);
+  auto auto_result = auto_est->Estimate(fixture->groups, model);
   ASSERT_TRUE(auto_result.ok());
   EXPECT_TRUE(auto_result->exact);
   EXPECT_EQ(auto_result->expected_cracks, *direct);
 
   auto exact_est = MakeEstimator(EstimatorKind::kExact, config);
   EXPECT_STREQ(exact_est->name(), "exact");
-  auto exact_result = exact_est->Estimate(fixture->groups, fixture->belief);
+  auto exact_result = exact_est->Estimate(fixture->groups, model);
   ASSERT_TRUE(exact_result.ok());
   EXPECT_EQ(exact_result->expected_cracks, *direct);
 
   auto oe_est = MakeEstimator(EstimatorKind::kOe, config);
   EXPECT_STREQ(oe_est->name(), "oe");
-  auto oe_result = oe_est->Estimate(fixture->groups, fixture->belief);
+  auto oe_result = oe_est->Estimate(fixture->groups, model);
   ASSERT_TRUE(oe_result.ok());
   EXPECT_FALSE(oe_result->exact);
   EXPECT_GT(oe_result->expected_cracks, 0.0);
 
   auto sampler_est = MakeEstimator(EstimatorKind::kSampler, config);
   EXPECT_STREQ(sampler_est->name(), "sampler");
-  auto sampler_result =
-      sampler_est->Estimate(fixture->groups, fixture->belief);
+  auto sampler_result = sampler_est->Estimate(fixture->groups, model);
   ASSERT_TRUE(sampler_result.ok());
   EXPECT_FALSE(sampler_result->exact);
   EXPECT_NEAR(sampler_result->expected_cracks, *direct, 0.5);
+}
+
+TEST(MakeEstimatorTest, OnlyOeAcceptsWeightsAndInterest) {
+  auto fixture = MakeChain();
+  ASSERT_TRUE(fixture.ok());
+  adversary::AdversaryModel weighted = ModelOf(fixture->belief);
+  weighted.adversary = "probabilistic";
+  for (ItemId x = 0; x < fixture->belief.num_items(); ++x) {
+    const ItemStabRange r = fixture->groups.Stab(
+        fixture->belief.interval(x).lo, fixture->belief.interval(x).hi);
+    weighted.weights.push_back({r.lo, 1.0, std::vector<double>(
+                                               r.hi - r.lo + 1, 1.0)});
+  }
+  const std::vector<bool> interest = {true, false, true, false};
+
+  auto oe = MakeEstimator(EstimatorKind::kOe);
+  EXPECT_TRUE(oe->supports_weights());
+  EXPECT_TRUE(oe->Estimate(fixture->groups, weighted).ok());
+  EXPECT_TRUE(oe->Estimate(fixture->groups, weighted, nullptr, &interest).ok());
+
+  // The other engines see only the structural belief: they refuse
+  // weights and interest masks instead of silently ignoring them.
+  for (EstimatorKind kind :
+       {EstimatorKind::kAuto, EstimatorKind::kExact, EstimatorKind::kSampler}) {
+    auto engine = MakeEstimator(kind);
+    EXPECT_FALSE(engine->supports_weights()) << engine->name();
+    EXPECT_TRUE(engine->Estimate(fixture->groups, weighted)
+                    .status()
+                    .IsUnimplemented())
+        << engine->name();
+    EXPECT_TRUE(engine
+                    ->Estimate(fixture->groups, ModelOf(fixture->belief),
+                               nullptr, &interest)
+                    .status()
+                    .IsInvalidArgument())
+        << engine->name();
+  }
 }
 
 // ------------------------------------------------------------ recipe knob
@@ -481,7 +524,7 @@ TEST(RecipeEstimatorTest, ItemsVariantRejectsPlanner) {
   RecipeOptions options;
   options.estimator = EstimatorKind::kAuto;
   std::vector<bool> interest = {true, false, true};
-  auto result = AssessRiskForItems(*table, interest, options);
+  auto result = AssessRisk(*table, options, nullptr, nullptr, &interest);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }

@@ -73,7 +73,8 @@ TEST(EndToEndAttackTest, SampleBasedAttackMatchesPrediction) {
   auto mask = attack_belief->ComplianceMask(*released_table);
   ASSERT_TRUE(mask.ok());
   auto prediction =
-      ComputeOEstimateRestricted(observed, *attack_belief, *mask);
+      ComputeOEstimate(observed, *attack_belief, {}, nullptr,
+                       {.include = &*mask});
   ASSERT_TRUE(prediction.ok());
 
   // OE and the simulated attack agree within 25% (+1 crack slack).

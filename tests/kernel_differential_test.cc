@@ -625,10 +625,11 @@ TEST(AlphaProbeCacheTest, CachedSweepIsBitIdenticalToUncached) {
     ASSERT_TRUE(plain.ok() && cached.ok());
     EXPECT_EQ(*plain, *cached) << "alpha=" << alpha;
 
-    auto plain_items =
-        sweep->AverageOEstimateForItems(groups, alpha, interest);
-    auto cached_items =
-        sweep->AverageOEstimateForItems(groups, cache, alpha, interest);
+    const OEstimateScope scope{.include = &interest};
+    auto plain_items = sweep->AverageOEstimate(groups, alpha, {}, nullptr,
+                                               scope);
+    auto cached_items = sweep->AverageOEstimate(groups, cache, alpha, {},
+                                                nullptr, scope);
     ASSERT_TRUE(plain_items.ok() && cached_items.ok());
     EXPECT_EQ(*plain_items, *cached_items) << "alpha=" << alpha;
 
@@ -654,16 +655,18 @@ TEST(AlphaProbeCacheTest, FromRangesRejectsMalformedInput) {
   ranges[1] = {false, 0, 0};
   ranges[2] = {true, 2, 2};
   std::vector<bool> all(3, true);
-  auto ok = ComputeOEstimateFromRanges(*groups, ranges, all);
+  const OEstimateScope scope{.include = &all};
+  auto ok = ComputeOEstimate(*groups, ranges, {}, nullptr, scope);
   ASSERT_TRUE(ok.ok());
 
   ranges[2] = {true, 2, 5};  // hi outside the group domain
-  EXPECT_FALSE(ComputeOEstimateFromRanges(*groups, ranges, all).ok());
+  EXPECT_FALSE(ComputeOEstimate(*groups, ranges, {}, nullptr, scope).ok());
   ranges[2] = {true, 2, 1};  // inverted
-  EXPECT_FALSE(ComputeOEstimateFromRanges(*groups, ranges, all).ok());
+  EXPECT_FALSE(ComputeOEstimate(*groups, ranges, {}, nullptr, scope).ok());
   ranges.pop_back();  // wrong arity
   std::vector<bool> two(2, true);
-  EXPECT_FALSE(ComputeOEstimateFromRanges(*groups, ranges, two).ok());
+  EXPECT_FALSE(
+      ComputeOEstimate(*groups, ranges, {}, nullptr, {.include = &two}).ok());
 }
 
 // ----------------------------------------------------------- scratch pool

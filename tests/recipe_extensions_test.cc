@@ -101,7 +101,7 @@ TEST(KAnonymitySchemeTest, Validation) {
   EXPECT_EQ(identity->l1_distortion, 0u);
 }
 
-// --------------------------------------------------------- AssessRiskForItems
+// --------------------------------------------------- AssessRisk on interest
 
 TEST(RecipeForItemsTest, CamouflagedInterestDiscloses) {
   // The interesting items hide in a big frequency group: Lemma 4 gives
@@ -116,7 +116,7 @@ TEST(RecipeForItemsTest, CamouflagedInterestDiscloses) {
 
   RecipeOptions options;
   options.tolerance = 0.2;  // budget = 1 crack of 5 interesting items
-  auto result = AssessRiskForItems(*table, interest, options);
+  auto result = AssessRisk(*table, options, nullptr, nullptr, &interest);
   ASSERT_TRUE(result.ok());
   // Lemma 4: 5 * (1/40) = 0.125 <= 1.
   EXPECT_EQ(result->decision, RecipeDecision::kDiscloseAtPointValued);
@@ -135,7 +135,7 @@ TEST(RecipeForItemsTest, UniqueInterestItemIsRisky) {
 
   RecipeOptions options;
   options.tolerance = 0.5;  // budget = 0.5 cracks of 1 item
-  auto result = AssessRiskForItems(*table, interest, options);
+  auto result = AssessRisk(*table, options, nullptr, nullptr, &interest);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->decision, RecipeDecision::kAlphaBound);
   EXPECT_LT(result->alpha_max, 1.0);
@@ -168,7 +168,7 @@ TEST(RecipeForItemsTest, InterestSubsetNeverRiskierThanFullDomain) {
 
   RecipeOptions options;
   options.tolerance = 0.01;  // force both into the interval computation
-  auto sub = AssessRiskForItems(*table, interest, options);
+  auto sub = AssessRisk(*table, options, nullptr, nullptr, &interest);
   auto full = AssessRisk(*table, options);
   ASSERT_TRUE(sub.ok());
   ASSERT_TRUE(full.ok());
@@ -179,12 +179,15 @@ TEST(RecipeForItemsTest, Validation) {
   auto table = FrequencyTable::FromSupports({1, 2}, 10);
   ASSERT_TRUE(table.ok());
   RecipeOptions options;
-  EXPECT_TRUE(AssessRiskForItems(*table, {true}, options)
+  const std::vector<bool> wrong_size = {true};
+  const std::vector<bool> empty = {false, false};
+  const std::vector<bool> both = {true, true};
+  EXPECT_TRUE(AssessRisk(*table, options, nullptr, nullptr, &wrong_size)
                   .status().IsInvalidArgument());
-  EXPECT_TRUE(AssessRiskForItems(*table, {false, false}, options)
+  EXPECT_TRUE(AssessRisk(*table, options, nullptr, nullptr, &empty)
                   .status().IsInvalidArgument());
   options.tolerance = 0.0;
-  EXPECT_TRUE(AssessRiskForItems(*table, {true, true}, options)
+  EXPECT_TRUE(AssessRisk(*table, options, nullptr, nullptr, &both)
                   .status().IsInvalidArgument());
 }
 

@@ -31,8 +31,13 @@ namespace {
 constexpr char kDataset[] =
     "0 1 2\n0 1\n1 2 3\n0 2 3\n1 3\n0 1 3\n2 3\n0 3\n1 2\n0 1 2 3\n";
 
+// One file per test: ctest runs each case in its own process, so a
+// shared name would let one case truncate the file another is reading.
 std::string WriteDatasetFile() {
-  const std::string path = ::testing::TempDir() + "/serve_test.dat";
+  const std::string path =
+      ::testing::TempDir() + "/serve_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".dat";
   std::ofstream out(path);
   out << kDataset;
   return path;
@@ -276,6 +281,32 @@ TEST(ServeTest, UnknownEstimatorIsInvalidParams) {
                "\",\"estimator\":\"frobnicate\"}}");
   EXPECT_FALSE(IsOk(response));
   EXPECT_EQ(ErrorCode(response), kErrInvalidParams);
+}
+
+// Out-of-range or fractional exec params are rejected per request; the
+// server neither aborts (a huge `threads` once overflowed the pool's
+// reserve) nor spawns a thread per unit of the number, and keeps
+// answering afterwards.
+TEST(ServeTest, BadExecParamsAreInvalidParams) {
+  Server server;
+  const std::string key = LoadDataset(server);
+  for (const std::string param : {"threads", "runs", "seed"}) {
+    for (const std::string value : {"1e19", "1e5", "2.5", "-1"}) {
+      if (param == "seed" && value == "1e5") continue;  // a valid seed
+      json::Value response = Send(
+          server, "{\"schema_version\":1,\"verb\":\"assess_risk\","
+                  "\"params\":{\"dataset\":\"" + key + "\",\"" + param +
+                      "\":" + value + "}}");
+      EXPECT_FALSE(IsOk(response)) << param << "=" << value;
+      EXPECT_EQ(ErrorCode(response), kErrInvalidParams)
+          << param << "=" << value;
+    }
+  }
+  json::Value after =
+      Send(server, "{\"schema_version\":1,\"verb\":\"assess_risk\","
+                   "\"params\":{\"dataset\":\"" + key +
+                       "\",\"threads\":2}}");
+  EXPECT_TRUE(IsOk(after));
 }
 
 // The tentpole acceptance criterion: the serve response embeds the exact
