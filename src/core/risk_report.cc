@@ -107,6 +107,20 @@ std::string RiskReport::ToMarkdown() const {
   return oss.str();
 }
 
+json::Value SimilarityCurveToJson(const std::vector<SimilarityPoint>& curve) {
+  json::Value points = json::Value::Array();
+  for (const SimilarityPoint& p : curve) {
+    json::Value point = json::Value::Object();
+    point.Set("sample_fraction", json::Value(p.sample_fraction));
+    point.Set("mean_alpha", json::Value(p.mean_alpha));
+    point.Set("stddev_alpha", json::Value(p.stddev_alpha));
+    point.Set("mean_delta", json::Value(p.mean_delta));
+    point.Set("mean_groups", json::Value(p.mean_groups));
+    points.Append(std::move(point));
+  }
+  return points;
+}
+
 json::Value RiskReport::ToJson() const {
   json::Value v = json::Value::Object();
   v.Set("schema_version", json::Value(kRiskReportSchemaVersion));
@@ -156,17 +170,7 @@ json::Value RiskReport::ToJson() const {
   }
   v.Set("recipe", std::move(r));
 
-  json::Value curve = json::Value::Array();
-  for (const SimilarityPoint& p : similarity_curve) {
-    json::Value point = json::Value::Object();
-    point.Set("sample_fraction", json::Value(p.sample_fraction));
-    point.Set("mean_alpha", json::Value(p.mean_alpha));
-    point.Set("stddev_alpha", json::Value(p.stddev_alpha));
-    point.Set("mean_delta", json::Value(p.mean_delta));
-    point.Set("mean_groups", json::Value(p.mean_groups));
-    curve.Append(std::move(point));
-  }
-  v.Set("similarity_curve", std::move(curve));
+  v.Set("similarity_curve", SimilarityCurveToJson(similarity_curve));
   v.Set("breaching_sample_fraction", json::Value(breaching_sample_fraction));
   return v;
 }

@@ -80,6 +80,10 @@ Result<RiskReport> BuildRiskReport(const Database& db,
                                    exec::ExecContext* ctx = nullptr,
                                    RecipeArtifacts* artifacts = nullptr);
 
+/// \brief The Figure 13 curve as JSON points: a report's
+/// `similarity_curve` and the serve `similarity` verb's `curve`.
+json::Value SimilarityCurveToJson(const std::vector<SimilarityPoint>& curve);
+
 }  // namespace anonsafe
 
 #endif  // ANONSAFE_CORE_RISK_REPORT_H_

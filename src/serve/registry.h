@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/risk_report.h"
 #include "serve/protocol.h"
 #include "util/json.h"
 #include "util/result.h"
@@ -104,6 +105,52 @@ const char* JsonTypeName(json::Value::Type type);
 /// their own schema.
 Status CheckParams(const std::vector<ParamSpec>& specs,
                    const json::Value& params);
+
+/// The request spec shared by `anonsafe serve` and the one-shot CLI
+/// (which first turns `--name=value` flags into the same params object):
+/// each compute verb's param list, declared once, and one decoder per
+/// options struct. Decoders range-check what they read and leave absent
+/// params at the struct's default (docs/SERVER.md).
+
+/// Per-request ceilings: each request builds its own thread pool and each
+/// α probe evaluates `runs` O-estimates; integers above 2^53 are not
+/// exact as JSON numbers.
+inline constexpr uint64_t kMaxRequestThreads = 256;
+inline constexpr uint64_t kMaxRequestRuns = 1000;
+inline constexpr uint64_t kMaxExactInteger = uint64_t{1} << 53;
+
+/// \brief An integer param in [0, max], `fallback` when absent;
+/// InvalidArgument when fractional, negative or out of range.
+Result<uint64_t> IntegerParam(const json::Value& params, const char* name,
+                              uint64_t fallback, uint64_t max);
+
+/// \brief `a` then `b`: composes a schema from the shared lists.
+std::vector<ParamSpec> JoinParams(std::vector<ParamSpec> a,
+                                  const std::vector<ParamSpec>& b);
+
+/// `seed`, `runs`, `threads`: accepted by every compute verb.
+const std::vector<ParamSpec>& ExecParams();
+/// `assess_risk`, and each batch item together with the exec params.
+const std::vector<ParamSpec>& AssessRiskParams();
+/// `recommend_defense`: the estimator planner's knobs.
+const std::vector<ParamSpec>& PlannerParams();
+const std::vector<ParamSpec>& SimilarityParams();
+
+/// `seed` (≤ 2^53), `runs` (≤ 1000), `threads` (≤ 256) over `defaults`.
+Result<exec::ExecOptions> ExecOptionsFromParams(
+    const json::Value& params, const exec::ExecOptions& defaults = {});
+/// `adversary` ("name[:k=v,...]"); absent or empty is the interval model.
+Result<adversary::AdversarySpec> AdversaryFromParams(
+    const json::Value& params);
+/// `tolerance`, `estimator`, `adversary` plus the exec params.
+Result<RecipeOptions> RecipeOptionsFromParams(const json::Value& params);
+/// The recipe params plus `include_similarity_curve`.
+Result<RiskReportOptions> ReportOptionsFromParams(const json::Value& params);
+/// `ryser_cutoff` and `prefer_sampler`.
+Result<PlannerOptions> PlannerOptionsFromParams(const json::Value& params);
+/// `samples_per_fraction` (≤ 1000) plus the exec params (`seed` 11).
+Result<SimilarityOptions> SimilarityOptionsFromParams(
+    const json::Value& params);
 
 }  // namespace serve
 }  // namespace anonsafe

@@ -1,6 +1,6 @@
 #include "serve/server.h"
 
-#include <cmath>
+#include <algorithm>
 #include <fstream>
 #include <future>
 #include <sstream>
@@ -13,7 +13,6 @@
 #include "core/risk_report.h"
 #include "core/similarity.h"
 #include "defense/optimizer.h"
-#include "estimator/estimator.h"
 #include "graph/simd_kernels.h"
 #include "obs/export.h"
 #include "obs/log.h"
@@ -22,43 +21,6 @@
 namespace anonsafe {
 namespace serve {
 namespace {
-
-/// Per-request ceilings on the exec params (docs/SERVER.md). Each
-/// request builds its own thread pool and each α probe evaluates `runs`
-/// O-estimates, so unbounded values let one line exhaust the process.
-constexpr uint64_t kMaxRequestThreads = 256;
-constexpr uint64_t kMaxRequestRuns = 1000;
-/// Integers above 2^53 are not exactly representable as JSON numbers.
-constexpr uint64_t kMaxExactInteger = uint64_t{1} << 53;
-
-/// One exec param: an integer in [0, max], or InvalidArgument.
-Result<uint64_t> ExecParam(const json::Value& params, const char* name,
-                           uint64_t fallback, uint64_t max) {
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double value, params.GetNumberOr(name, static_cast<double>(fallback)));
-  if (!(value >= 0.0) || value != std::floor(value) ||
-      value > static_cast<double>(max)) {
-    return Status::InvalidArgument(std::string(name) +
-                                   " must be an integer in [0, " +
-                                   std::to_string(max) + "]");
-  }
-  return static_cast<uint64_t>(value);
-}
-
-/// Reads the generic execution params every compute verb understands.
-/// Defaults match the one-shot CLI (`RecipeOptions{}.exec`), so a request
-/// carrying only a dataset handle reproduces the CLI's output exactly.
-Result<exec::ExecOptions> ExecOptionsFromParams(const json::Value& params) {
-  exec::ExecOptions eo;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      eo.seed, ExecParam(params, "seed", eo.seed, kMaxExactInteger));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      eo.runs, ExecParam(params, "runs", eo.runs, kMaxRequestRuns));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      eo.threads, ExecParam(params, "threads", eo.threads,
-                            kMaxRequestThreads));
-  return eo;
-}
 
 /// The outcome code a response line reduces to: "ok", or the protocol
 /// error code. Drives the access log, the flight recorder and the
@@ -81,53 +43,37 @@ json::Value RenderOutcome(const json::Value& id, Result<json::Value> outcome,
                            outcome.status().message(), version);
 }
 
-json::Value SimilarityPointToJson(const SimilarityPoint& p) {
-  json::Value point = json::Value::Object();
-  point.Set("sample_fraction", json::Value(p.sample_fraction));
-  point.Set("mean_alpha", json::Value(p.mean_alpha));
-  point.Set("stddev_alpha", json::Value(p.stddev_alpha));
-  point.Set("mean_delta", json::Value(p.mean_delta));
-  point.Set("mean_groups", json::Value(p.mean_groups));
-  return point;
+/// Looks up the dataset a compute verb's `dataset` param names.
+Result<std::shared_ptr<const CachedDataset>> ResidentDataset(
+    DatasetCache& cache, const json::Value& params) {
+  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
+  std::shared_ptr<const CachedDataset> ds = cache.Find(key);
+  if (ds == nullptr) {
+    return Status::NotFound("dataset '" + key +
+                            "' is not resident; call load_dataset first");
+  }
+  return ds;
+}
+
+/// `now + millis`, saturating at the clock's end rather than overflowing
+/// its nanosecond count (2^53 ms is ~285,000 years).
+std::chrono::steady_clock::time_point DeadlineAfter(uint64_t millis) {
+  const auto now = std::chrono::steady_clock::now();
+  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::time_point::max() - now);
+  return millis < static_cast<uint64_t>(left.count())
+             ? now + std::chrono::milliseconds(millis)
+             : std::chrono::steady_clock::time_point::max();
 }
 
 /// The assess_risk core shared between the single verb and batch items:
-/// recipe options from `params`, report built against the cached
-/// dataset's shared artifacts. The param read order is fixed — it is
-/// what makes a batch item bit-identical to the single request carrying
-/// the same params.
-Result<json::Value> AssessReportFromParams(const CachedDataset& ds,
-                                           const json::Value& params,
-                                           const exec::ExecOptions& exec_opts,
-                                           exec::ExecContext* ctx) {
-  RiskReportOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      options.recipe.tolerance,
-      params.GetNumberOr("tolerance", options.recipe.tolerance));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      options.include_similarity_curve,
-      params.GetBoolOr("include_similarity_curve", true));
-  // Optional estimator choice for the interval risk check; an unknown
-  // name surfaces as invalid_params. The report JSON carries the per-
-  // block provenance back under recipe.interval_blocks.
-  ANONSAFE_ASSIGN_OR_RETURN(
-      std::string estimator_name,
-      params.GetStringOr("estimator",
-                         EstimatorKindName(options.recipe.estimator)));
-  ANONSAFE_ASSIGN_OR_RETURN(options.recipe.estimator,
-                            ParseEstimatorKind(estimator_name));
-  // Optional adversary spec ("name" or "name:k=v,..."); unknown names or
-  // bad params surface as invalid_params. Provenance comes back under
-  // recipe.adversary / recipe.adversary_params.
-  ANONSAFE_ASSIGN_OR_RETURN(std::string adversary_spec,
-                            params.GetStringOr("adversary", ""));
-  if (!adversary_spec.empty()) {
-    ANONSAFE_ASSIGN_OR_RETURN(adversary::AdversarySpec spec,
-                              adversary::ParseAdversarySpec(adversary_spec));
-    options.recipe.adversary = std::move(spec.name);
-    options.recipe.adversary_params = std::move(spec.params);
-  }
-  options.recipe.exec = exec_opts;
+/// report options from `params` (exactly as the CLI `report` decodes its
+/// flags), report built against the cached dataset's shared artifacts.
+Result<json::Value> AssessReport(const CachedDataset& ds,
+                                 const json::Value& params,
+                                 exec::ExecContext* ctx) {
+  ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions options,
+                            ReportOptionsFromParams(params));
   ANONSAFE_ASSIGN_OR_RETURN(
       RiskReport report,
       BuildRiskReport(ds.data.database, options, ctx, ds.artifacts.get()));
@@ -140,15 +86,8 @@ Result<json::Value> AssessReportFromParams(const CachedDataset& ds,
 /// request without `seed`. `deadline_ms`/`trace`/`tenant` exist only at
 /// the request level; an item carrying them is a schema error.
 const std::vector<ParamSpec>& BatchItemParams() {
-  static const std::vector<ParamSpec>* kParams = new std::vector<ParamSpec>{
-      {"tolerance", json::Value::Type::kNumber},
-      {"include_similarity_curve", json::Value::Type::kBool},
-      {"estimator", json::Value::Type::kString},
-      {"adversary", json::Value::Type::kString},
-      {"seed", json::Value::Type::kNumber},
-      {"runs", json::Value::Type::kNumber},
-      {"threads", json::Value::Type::kNumber},
-  };
+  static const auto* kParams =
+      new std::vector<ParamSpec>(JoinParams(AssessRiskParams(), ExecParams()));
   return *kParams;
 }
 
@@ -159,20 +98,16 @@ Result<json::Value> RunOneBatchItem(const CachedDataset& ds,
     return Status::InvalidArgument("batch item must be an object");
   }
   ANONSAFE_RETURN_IF_ERROR(CheckParams(BatchItemParams(), item));
-  for (const auto& [key, value] : item.members()) {
-    (void)value;
-    bool declared = false;
-    for (const ParamSpec& spec : BatchItemParams()) {
-      if (key == spec.name) declared = true;
-    }
-    if (!declared) {
-      return Status::InvalidArgument("unknown batch item param '" + key +
-                                     "'");
+  for (const auto& member : item.members()) {
+    const std::vector<ParamSpec>& specs = BatchItemParams();
+    if (std::none_of(specs.begin(), specs.end(), [&](const ParamSpec& spec) {
+          return member.first == spec.name;
+        })) {
+      return Status::InvalidArgument("unknown batch item param '" +
+                                     member.first + "'");
     }
   }
-  ANONSAFE_ASSIGN_OR_RETURN(exec::ExecOptions exec_opts,
-                            ExecOptionsFromParams(item));
-  return AssessReportFromParams(ds, item, exec_opts, ctx);
+  return AssessReport(ds, item, ctx);
 }
 
 /// Per-item envelope: `{"ok":true,"report":...}` or
@@ -418,56 +353,41 @@ void Server::ExecuteJob(std::unique_ptr<Job> job) {
 json::Value Server::RunWithContext(Job* job) {
   const Request& request = job->request;
   RequestSummary* record = &job->record;
-  Result<json::Value> outcome =
-      Status::Internal("request task never ran");  // overwritten below
   // Created when the client opted in (`"trace": true`), when the server
   // watches for slow requests, or when process-wide tracing is on. One
   // tree per request: the scope below installs it on the runner thread,
   // and ExecContext carries it into nested parallel fan-outs.
   std::unique_ptr<obs::TraceContext> trace_context;
   bool want_trace_field = false;
-  {
-    Result<exec::ExecOptions> exec_options =
-        ExecOptionsFromParams(request.params);
-    Result<bool> trace_param = request.params.GetBoolOr("trace", false);
-    if (!exec_options.ok()) {
-      outcome = exec_options.status();
-    } else if (!trace_param.ok()) {
-      outcome = trace_param.status();
-    } else {
-      want_trace_field = *trace_param;
-      if (want_trace_field || options_.slow_request_ms > 0 ||
-          obs::TracingEnabled()) {
-        trace_context = std::make_unique<obs::TraceContext>(
-            "req-" + std::to_string(record->serial));
-        record->trace_id = trace_context->trace_id();
-      }
-      exec::ExecContext ctx(*exec_options);
-      ctx.set_trace(trace_context.get());
-
-      Result<double> deadline_ms = request.params.GetNumberOr(
-          "deadline_ms", static_cast<double>(options_.default_deadline_ms));
-      if (!deadline_ms.ok()) {
-        outcome = deadline_ms.status();
-      } else {
-        uint64_t deadline_serial = 0;
-        bool has_deadline = *deadline_ms > 0;
-        if (has_deadline) {
-          deadline_serial = RegisterDeadline(
-              &ctx, std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(
-                            static_cast<int64_t>(*deadline_ms)));
-        }
-        obs::Stopwatch exec_watch;
-        {
-          obs::TraceContextScope trace_scope(trace_context.get());
-          outcome = job->spec->handler(request, &ctx);
-        }
-        record->exec_ms = exec_watch.Seconds() * 1e3;
-        if (has_deadline) UnregisterDeadline(deadline_serial);
-      }
+  Result<json::Value> outcome = [&]() -> Result<json::Value> {
+    ANONSAFE_ASSIGN_OR_RETURN(exec::ExecOptions exec_options,
+                              ExecOptionsFromParams(request.params));
+    ANONSAFE_ASSIGN_OR_RETURN(want_trace_field,
+                              request.params.GetBoolOr("trace", false));
+    ANONSAFE_ASSIGN_OR_RETURN(
+        uint64_t deadline_ms,
+        IntegerParam(request.params, "deadline_ms",
+                     options_.default_deadline_ms, kMaxExactInteger));
+    if (want_trace_field || options_.slow_request_ms > 0 ||
+        obs::TracingEnabled()) {
+      trace_context = std::make_unique<obs::TraceContext>(
+          "req-" + std::to_string(record->serial));
+      record->trace_id = trace_context->trace_id();
     }
-  }
+    exec::ExecContext ctx(exec_options);
+    ctx.set_trace(trace_context.get());
+    const uint64_t deadline_serial =
+        deadline_ms > 0 ? RegisterDeadline(&ctx, DeadlineAfter(deadline_ms))
+                        : 0;
+    obs::Stopwatch exec_watch;
+    Result<json::Value> result = [&] {
+      obs::TraceContextScope trace_scope(trace_context.get());
+      return job->spec->handler(request, &ctx);
+    }();
+    record->exec_ms = exec_watch.Seconds() * 1e3;
+    if (deadline_ms > 0) UnregisterDeadline(deadline_serial);
+    return result;
+  }();
 
   // Provenance for the access log / flight recorder: the dataset key
   // (the request param, or the content hash `load_dataset` computed)
@@ -688,6 +608,7 @@ void Server::UpdateAdmissionGauges() {
 
 void Server::BuildRegistry() {
   using Type = json::Value::Type;
+  const std::vector<ParamSpec> kDataset{{"dataset", Type::kString, true}};
   registry_.Register(
       {"load_dataset",
        {{"path", Type::kString}, {"content", Type::kString}},
@@ -696,13 +617,7 @@ void Server::BuildRegistry() {
          return HandleLoadDataset(req.params);
        }});
   registry_.Register(
-      {"assess_risk",
-       {{"dataset", Type::kString, true},
-        {"tolerance", Type::kNumber},
-        {"include_similarity_curve", Type::kBool},
-        {"estimator", Type::kString},
-        {"adversary", Type::kString}},
-       0,
+      {"assess_risk", JoinParams(kDataset, AssessRiskParams()), 0,
        [this](const Request& req, exec::ExecContext* ctx) {
          return HandleAssessRisk(req.params, ctx);
        }});
@@ -714,11 +629,7 @@ void Server::BuildRegistry() {
          return HandleAssessRiskBatch(req.params, ctx);
        }});
   registry_.Register(
-      {"recommend_defense",
-       {{"dataset", Type::kString, true},
-        {"ryser_cutoff", Type::kNumber},
-        {"prefer_sampler", Type::kBool}},
-       kVerbV2Only,
+      {"recommend_defense", JoinParams(kDataset, PlannerParams()), kVerbV2Only,
        [this](const Request& req, exec::ExecContext* ctx) {
          return HandleRecommendDefense(req.params, ctx);
        }});
@@ -732,10 +643,7 @@ void Server::BuildRegistry() {
          return HandleOEstimate(req.params, ctx);
        }});
   registry_.Register(
-      {"similarity",
-       {{"dataset", Type::kString, true},
-        {"samples_per_fraction", Type::kNumber}},
-       0,
+      {"similarity", JoinParams(kDataset, SimilarityParams()), 0,
        [this](const Request& req, exec::ExecContext* ctx) {
          return HandleSimilarity(req.params, ctx);
        }});
@@ -774,10 +682,7 @@ Result<json::Value> Server::HandleLoadDataset(const json::Value& params) {
   std::string file_content;
   const std::string* content = &file_content;
   if (const json::Value* inline_content = params.Find("content")) {
-    if (!inline_content->is_string()) {
-      return Status::InvalidArgument("'content' must be a string");
-    }
-    content = &inline_content->AsString();
+    content = &inline_content->AsString();  // type-checked upstream
   } else {
     ANONSAFE_ASSIGN_OR_RETURN(std::string path, params.GetString("path"));
     std::ifstream in(path, std::ios::binary);
@@ -804,20 +709,12 @@ Result<json::Value> Server::HandleLoadDataset(const json::Value& params) {
 Result<json::Value> Server::HandleAssessRisk(const json::Value& params,
                                              exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.assess_risk");
-  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
-  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
-  if (ds == nullptr) {
-    return Status::NotFound("dataset '" + key +
-                            "' is not resident; call load_dataset first");
-  }
-  // The request's exec params feed both the recipe options (seed, runs)
-  // and the live context (threads, cancellation) — identical to the
-  // one-shot CLI constructing them from flags.
-  ANONSAFE_ASSIGN_OR_RETURN(
-      json::Value report,
-      AssessReportFromParams(*ds, params, ctx->options(), ctx));
+  ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
+                            ResidentDataset(cache_, params));
+  ANONSAFE_ASSIGN_OR_RETURN(json::Value report,
+                            AssessReport(*ds, params, ctx));
   json::Value result = json::Value::Object();
-  result.Set("dataset", json::Value(key));
+  result.Set("dataset", json::Value(ds->key));
   result.Set("report", std::move(report));
   return result;
 }
@@ -825,12 +722,8 @@ Result<json::Value> Server::HandleAssessRisk(const json::Value& params,
 Result<json::Value> Server::HandleAssessRiskBatch(const json::Value& params,
                                                   exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.assess_risk_batch");
-  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
-  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
-  if (ds == nullptr) {
-    return Status::NotFound("dataset '" + key +
-                            "' is not resident; call load_dataset first");
-  }
+  ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
+                            ResidentDataset(cache_, params));
   const json::Value& items = *params.Find("items");  // type-checked upstream
   const std::vector<json::Value>& list = items.items();
   if (list.empty()) {
@@ -885,7 +778,7 @@ Result<json::Value> Server::HandleAssessRiskBatch(const json::Value& params,
   json::Value out_items = json::Value::Array();
   for (json::Value& slot : slots) out_items.Append(std::move(slot));
   json::Value result = json::Value::Object();
-  result.Set("dataset", json::Value(key));
+  result.Set("dataset", json::Value(ds->key));
   result.Set("items", std::move(out_items));
   return result;
 }
@@ -893,20 +786,10 @@ Result<json::Value> Server::HandleAssessRiskBatch(const json::Value& params,
 Result<json::Value> Server::HandleRecommendDefense(const json::Value& params,
                                                    exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.recommend_defense");
-  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
-  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
-  if (ds == nullptr) {
-    return Status::NotFound("dataset '" + key +
-                            "' is not resident; call load_dataset first");
-  }
+  ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
+                            ResidentDataset(cache_, params));
   defense::OptimizerOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double cutoff,
-      params.GetNumberOr("ryser_cutoff",
-                         static_cast<double>(options.planner.ryser_cutoff)));
-  options.planner.ryser_cutoff = static_cast<size_t>(cutoff);
-  ANONSAFE_ASSIGN_OR_RETURN(options.planner.prefer_sampler,
-                            params.GetBoolOr("prefer_sampler", false));
+  ANONSAFE_ASSIGN_OR_RETURN(options.planner, PlannerOptionsFromParams(params));
   // The sweep itself parallelizes on the request's context (threads,
   // cancellation, deadline) and seeds every candidate from the request
   // seed — so the `frontier` document is byte-identical to the CLI's
@@ -915,7 +798,7 @@ Result<json::Value> Server::HandleRecommendDefense(const json::Value& params,
       defense::DefenseFrontier frontier,
       defense::RecommendDefense(ds->data.database, options, ctx));
   json::Value result = json::Value::Object();
-  result.Set("dataset", json::Value(key));
+  result.Set("dataset", json::Value(ds->key));
   result.Set("frontier", frontier.ToJson());
   return result;
 }
@@ -923,12 +806,8 @@ Result<json::Value> Server::HandleRecommendDefense(const json::Value& params,
 Result<json::Value> Server::HandleOEstimate(const json::Value& params,
                                             exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.oestimate");
-  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
-  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
-  if (ds == nullptr) {
-    return Status::NotFound("dataset '" + key +
-                            "' is not resident; call load_dataset first");
-  }
+  ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
+                            ResidentDataset(cache_, params));
   ANONSAFE_ASSIGN_OR_RETURN(
       double delta, params.GetNumberOr("delta", ds->groups.MedianGap()));
   OEstimateOptions options;
@@ -940,7 +819,7 @@ Result<json::Value> Server::HandleOEstimate(const json::Value& params,
       OEstimateResult oe,
       ComputeOEstimate(ds->groups, belief, options, ctx));
   json::Value result = json::Value::Object();
-  result.Set("dataset", json::Value(key));
+  result.Set("dataset", json::Value(ds->key));
   result.Set("delta", json::Value(delta));
   result.Set("expected_cracks", json::Value(oe.expected_cracks));
   result.Set("fraction", json::Value(oe.fraction));
@@ -955,45 +834,25 @@ Result<json::Value> Server::HandleOEstimate(const json::Value& params,
 Result<json::Value> Server::HandleSimilarity(const json::Value& params,
                                              exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.similarity");
-  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
-  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
-  if (ds == nullptr) {
-    return Status::NotFound("dataset '" + key +
-                            "' is not resident; call load_dataset first");
-  }
-  SimilarityOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double seed, params.GetNumberOr(
-                       "seed", static_cast<double>(options.exec.seed)));
-  if (seed < 0) return Status::InvalidArgument("seed must be non-negative");
-  options.exec.seed = static_cast<uint64_t>(seed);
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double samples,
-      params.GetNumberOr("samples_per_fraction",
-                         static_cast<double>(options.samples_per_fraction)));
-  if (samples < 1) {
-    return Status::InvalidArgument("samples_per_fraction must be positive");
-  }
-  options.samples_per_fraction = static_cast<size_t>(samples);
+  ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
+                            ResidentDataset(cache_, params));
+  ANONSAFE_ASSIGN_OR_RETURN(SimilarityOptions options,
+                            SimilarityOptionsFromParams(params));
   ANONSAFE_ASSIGN_OR_RETURN(
       std::vector<SimilarityPoint> curve,
       SimilarityBySampling(ds->data.database, options, ctx));
-  json::Value points = json::Value::Array();
-  for (const SimilarityPoint& p : curve) points.Append(SimilarityPointToJson(p));
   json::Value result = json::Value::Object();
-  result.Set("dataset", json::Value(key));
-  result.Set("curve", std::move(points));
+  result.Set("dataset", json::Value(ds->key));
+  result.Set("curve", SimilarityCurveToJson(curve));
   return result;
 }
 
 Result<json::Value> Server::HandleSleep(const json::Value& params,
                                         exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.sleep");
-  ANONSAFE_ASSIGN_OR_RETURN(double millis, params.GetNumber("millis"));
-  if (millis < 0) return Status::InvalidArgument("millis must be >= 0");
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(
-                            static_cast<int64_t>(millis));
+  ANONSAFE_ASSIGN_OR_RETURN(
+      uint64_t millis, IntegerParam(params, "millis", 0, kMaxExactInteger));
+  const auto deadline = DeadlineAfter(millis);
   while (std::chrono::steady_clock::now() < deadline) {
     if (ctx->cancelled()) return Status::Cancelled("sleep cancelled");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -32,6 +32,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/transport.h"
 #include "util/cpu.h"
@@ -53,16 +54,45 @@ Status RequirePositional(const CliInvocation& cli, size_t count) {
   return Status::OK();
 }
 
-/// Applies `--adversary=name[:k=v,...]` to recipe options; absent flag
-/// leaves the default (interval) untouched.
-Status ApplyAdversaryFlag(const CliInvocation& cli, RecipeOptions* options) {
-  auto it = cli.flags.find("adversary");
-  if (it == cli.flags.end()) return Status::OK();
-  ANONSAFE_ASSIGN_OR_RETURN(adversary::AdversarySpec spec,
-                            adversary::ParseAdversarySpec(it->second));
-  options->adversary = std::move(spec.name);
-  options->adversary_params = std::move(spec.params);
-  return Status::OK();
+Result<double> ParseNumberFlag(const std::string& key,
+                               const std::string& text) {
+  char* end = nullptr;
+  double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') {
+    return Status::InvalidArgument("flag --" + key +
+                                   " expects a number, got '" + text + "'");
+  }
+  return v;
+}
+
+/// The params object a compute command hands to its serve twin's
+/// decoder (serve/registry.h): the flags that spell `specs` or the exec
+/// params, `_` written `-`. A bare flag is `true`; others stay local.
+Result<json::Value> FlagsToParams(const CliInvocation& cli,
+                                  const std::vector<serve::ParamSpec>& specs) {
+  json::Value params = json::Value::Object();
+  for (const serve::ParamSpec& spec :
+       serve::JoinParams(specs, serve::ExecParams())) {
+    std::string flag = spec.name;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    auto it = cli.flags.find(flag);
+    if (it == cli.flags.end()) continue;
+    json::Value value(it->second);
+    if (spec.type == json::Value::Type::kNumber) {
+      ANONSAFE_ASSIGN_OR_RETURN(double number,
+                                ParseNumberFlag(flag, it->second));
+      value = json::Value(number);
+    } else if (spec.type == json::Value::Type::kBool) {
+      if (it->second != "true" && it->second != "false") {
+        return Status::InvalidArgument("flag --" + flag +
+                                       " expects true or false, got '" +
+                                       it->second + "'");
+      }
+      value = json::Value(it->second == "true");
+    }
+    params.Set(spec.name, std::move(value));
+  }
+  return params;
 }
 
 Status RunStats(const CliInvocation& cli, std::ostream& out) {
@@ -92,23 +122,14 @@ Status RunStats(const CliInvocation& cli, std::ostream& out) {
 
 Status RunAssess(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
-  ANONSAFE_ASSIGN_OR_RETURN(double tolerance,
-                            FlagAsDouble(cli, "tolerance", 0.1));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t seed, FlagAsUint64(cli, "seed", 7));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t threads, FlagAsUint64(cli, "threads", 1));
+  ANONSAFE_ASSIGN_OR_RETURN(json::Value params,
+                            FlagsToParams(cli, serve::AssessRiskParams()));
+  ANONSAFE_ASSIGN_OR_RETURN(RecipeOptions options,
+                            serve::RecipeOptionsFromParams(params));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
                             FrequencyTable::Compute(data.database));
-  RecipeOptions options;
-  options.tolerance = tolerance;
-  options.exec.seed = seed;
-  options.exec.threads = static_cast<size_t>(threads);
-  if (auto it = cli.flags.find("estimator"); it != cli.flags.end()) {
-    ANONSAFE_ASSIGN_OR_RETURN(options.estimator,
-                              ParseEstimatorKind(it->second));
-  }
-  ANONSAFE_RETURN_IF_ERROR(ApplyAdversaryFlag(cli, &options));
   ANONSAFE_ASSIGN_OR_RETURN(RecipeResult result, AssessRisk(table, options));
   out << "decision: " << ToString(result.decision) << "\n"
       << result.Summary() << "\n";
@@ -134,6 +155,15 @@ Status RunAssess(const CliInvocation& cli, std::ostream& out) {
 
 Status RunPlan(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
+  ANONSAFE_ASSIGN_OR_RETURN(
+      json::Value params,
+      FlagsToParams(cli, serve::JoinParams(
+                             serve::PlannerParams(),
+                             {{"adversary", json::Value::Type::kString}})));
+  ANONSAFE_ASSIGN_OR_RETURN(PlannerOptions options,
+                            serve::PlannerOptionsFromParams(params));
+  ANONSAFE_ASSIGN_OR_RETURN(adversary::AdversarySpec spec,
+                            serve::AdversaryFromParams(params));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
@@ -141,18 +171,6 @@ Status RunPlan(const CliInvocation& cli, std::ostream& out) {
   FrequencyGroups groups = FrequencyGroups::Build(table);
   ANONSAFE_ASSIGN_OR_RETURN(
       double delta, FlagAsDouble(cli, "delta", groups.MedianGap()));
-  PlannerOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t cutoff,
-      FlagAsUint64(cli, "ryser-cutoff", options.ryser_cutoff));
-  options.ryser_cutoff = static_cast<size_t>(cutoff);
-  options.prefer_sampler = cli.flags.count("prefer-sampler") > 0;
-
-  adversary::AdversarySpec spec;
-  if (auto it = cli.flags.find("adversary"); it != cli.flags.end()) {
-    ANONSAFE_ASSIGN_OR_RETURN(spec,
-                              adversary::ParseAdversarySpec(it->second));
-  }
   const adversary::Adversary& adv = *adversary::Adversary::Find(spec.name);
   if (adv.Describe().weighted &&
       !MakeEstimator(EstimatorKind::kAuto)->supports_weights()) {
@@ -195,19 +213,12 @@ Status RunPlan(const CliInvocation& cli, std::ostream& out) {
 
 Status RunReport(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
-  ANONSAFE_ASSIGN_OR_RETURN(double tolerance,
-                            FlagAsDouble(cli, "tolerance", 0.1));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t threads, FlagAsUint64(cli, "threads", 1));
+  ANONSAFE_ASSIGN_OR_RETURN(json::Value params,
+                            FlagsToParams(cli, serve::AssessRiskParams()));
+  ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions options,
+                            serve::ReportOptionsFromParams(params));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
-  RiskReportOptions options;
-  options.recipe.tolerance = tolerance;
-  options.recipe.exec.threads = static_cast<size_t>(threads);
-  if (auto it = cli.flags.find("estimator"); it != cli.flags.end()) {
-    ANONSAFE_ASSIGN_OR_RETURN(options.recipe.estimator,
-                              ParseEstimatorKind(it->second));
-  }
-  ANONSAFE_RETURN_IF_ERROR(ApplyAdversaryFlag(cli, &options.recipe));
   ANONSAFE_ASSIGN_OR_RETURN(RiskReport report,
                             BuildRiskReport(data.database, options));
   if (cli.flags.count("json") > 0) {
@@ -223,48 +234,39 @@ Status RunReport(const CliInvocation& cli, std::ostream& out) {
 Status RunServe(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 0));
   serve::ServerOptions options;
+  ANONSAFE_ASSIGN_OR_RETURN(options.workers,
+                            FlagAsUint64(cli, "workers", options.workers));
   ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t workers, FlagAsUint64(cli, "workers", options.workers));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t queue_capacity,
+      options.queue_capacity,
       FlagAsUint64(cli, "queue-capacity", options.queue_capacity));
   ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t max_line_bytes,
+      options.max_line_bytes,
       FlagAsUint64(cli, "max-line-bytes", options.max_line_bytes));
   ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t cache_capacity,
+      options.dataset_cache_capacity,
       FlagAsUint64(cli, "cache-capacity", options.dataset_cache_capacity));
   ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t deadline_ms,
+      options.default_deadline_ms,
       FlagAsUint64(cli, "deadline-ms", options.default_deadline_ms));
   ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t slow_ms, FlagAsUint64(cli, "slow-ms", options.slow_request_ms));
+      options.slow_request_ms,
+      FlagAsUint64(cli, "slow-ms", options.slow_request_ms));
   ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t flight_recorder,
+      options.flight_recorder_capacity,
       FlagAsUint64(cli, "flight-recorder", options.flight_recorder_capacity));
   ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t max_batch_items,
+      options.max_batch_items,
       FlagAsUint64(cli, "max-batch-items", options.max_batch_items));
   ANONSAFE_ASSIGN_OR_RETURN(
-      double tenant_rate,
+      options.tenant_rate,
       FlagAsDouble(cli, "tenant-rate", options.tenant_rate));
   ANONSAFE_ASSIGN_OR_RETURN(
-      double tenant_burst,
+      options.tenant_burst,
       FlagAsDouble(cli, "tenant-burst", options.tenant_burst));
-  if (tenant_rate < 0 || tenant_burst < 0) {
+  if (options.tenant_rate < 0 || options.tenant_burst < 0) {
     return Status::InvalidArgument(
         "--tenant-rate/--tenant-burst must be non-negative");
   }
-  options.workers = static_cast<size_t>(workers);
-  options.queue_capacity = static_cast<size_t>(queue_capacity);
-  options.max_line_bytes = static_cast<size_t>(max_line_bytes);
-  options.dataset_cache_capacity = static_cast<size_t>(cache_capacity);
-  options.default_deadline_ms = deadline_ms;
-  options.slow_request_ms = slow_ms;
-  options.flight_recorder_capacity = static_cast<size_t>(flight_recorder);
-  options.max_batch_items = static_cast<size_t>(max_batch_items);
-  options.tenant_rate = tenant_rate;
-  options.tenant_burst = tenant_burst;
 
   // A server is the one place the access-log stream earns its keep: when
   // the operator set no level (flag or environment), raise the default
@@ -294,12 +296,11 @@ Status RunServe(const CliInvocation& cli, std::ostream& out) {
   serve::TcpServerOptions tcp;
   tcp.port = static_cast<uint16_t>(port);
   ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t write_buffer,
+      tcp.write_buffer_bytes,
       FlagAsUint64(cli, "write-buffer-bytes", tcp.write_buffer_bytes));
-  if (write_buffer == 0) {
+  if (tcp.write_buffer_bytes == 0) {
     return Status::InvalidArgument("--write-buffer-bytes must be positive");
   }
-  tcp.write_buffer_bytes = static_cast<size_t>(write_buffer);
   tcp.on_listening = [&out](uint16_t bound) {
     out << "anonsafe serve: listening on 127.0.0.1:" << bound << "\n";
     out.flush();
@@ -309,13 +310,12 @@ Status RunServe(const CliInvocation& cli, std::ostream& out) {
 
 Status RunSimilarity(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t seed, FlagAsUint64(cli, "seed", 11));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t threads, FlagAsUint64(cli, "threads", 1));
+  ANONSAFE_ASSIGN_OR_RETURN(json::Value params,
+                            FlagsToParams(cli, serve::SimilarityParams()));
+  ANONSAFE_ASSIGN_OR_RETURN(SimilarityOptions options,
+                            serve::SimilarityOptionsFromParams(params));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
-  SimilarityOptions options;
-  options.exec.seed = seed;
-  options.exec.threads = static_cast<size_t>(threads);
   ANONSAFE_ASSIGN_OR_RETURN(std::vector<SimilarityPoint> curve,
                             SimilarityBySampling(data.database, options));
   TablePrinter t({"sample %", "mean alpha", "stddev", "delta'_med"});
@@ -590,23 +590,15 @@ Status RunDefend(const CliInvocation& cli, std::ostream& out) {
 
 Status RunRecommendDefense(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t seed, FlagAsUint64(cli, "seed", 7));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t threads, FlagAsUint64(cli, "threads", 1));
+  ANONSAFE_ASSIGN_OR_RETURN(json::Value params,
+                            FlagsToParams(cli, serve::PlannerParams()));
+  defense::OptimizerOptions options;
+  ANONSAFE_ASSIGN_OR_RETURN(options.planner,
+                            serve::PlannerOptionsFromParams(params));
+  ANONSAFE_ASSIGN_OR_RETURN(exec::ExecOptions exec_options,
+                            serve::ExecOptionsFromParams(params));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
-
-  defense::OptimizerOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t cutoff,
-      FlagAsUint64(cli, "ryser-cutoff", options.planner.ryser_cutoff));
-  options.planner.ryser_cutoff = static_cast<size_t>(cutoff);
-  if (cli.flags.count("prefer-sampler") > 0) {
-    options.planner.prefer_sampler = true;
-  }
-
-  exec::ExecOptions exec_options;
-  exec_options.seed = seed;
-  exec_options.threads = static_cast<size_t>(threads);
   exec::ExecContext ctx(exec_options);
   ANONSAFE_ASSIGN_OR_RETURN(
       defense::DefenseFrontier frontier,
@@ -721,14 +713,7 @@ Result<double> FlagAsDouble(const CliInvocation& cli, const std::string& key,
                             double default_value) {
   auto it = cli.flags.find(key);
   if (it == cli.flags.end()) return default_value;
-  char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("flag --" + key +
-                                   " expects a number, got '" + it->second +
-                                   "'");
-  }
-  return v;
+  return ParseNumberFlag(key, it->second);
 }
 
 Result<uint64_t> FlagAsUint64(const CliInvocation& cli,
@@ -736,9 +721,11 @@ Result<uint64_t> FlagAsUint64(const CliInvocation& cli,
                               uint64_t default_value) {
   auto it = cli.flags.find(key);
   if (it == cli.flags.end()) return default_value;
+  // strtoull would wrap a negative value to 2^64 - n.
   char* end = nullptr;
   unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
+  if (end == it->second.c_str() || *end != '\0' ||
+      it->second.find('-') != std::string::npos) {
     return Status::InvalidArgument("flag --" + key +
                                    " expects an integer, got '" +
                                    it->second + "'");
@@ -829,18 +816,19 @@ std::string CliUsage() {
       "usage: anonsafe <command> [args] [--flags]\n"
       "\n"
       "  stats <file.dat>                      dataset statistics\n"
-      "  assess <file.dat> [--tolerance=0.1] [--threads=1]\n"
-      "         [--estimator=oe|auto|exact|sampler]\n"
+      "  assess <file.dat> [--tolerance=0.1] [--seed=7] [--runs=5]\n"
+      "         [--threads=1] [--estimator=oe|auto|exact|sampler]\n"
       "         [--adversary=interval|probabilistic|exact_support[:k=v,..]]\n"
       "                                        Fig. 8 Assess-Risk recipe\n"
       "                                        (see docs/ADVERSARIES.md)\n"
-      "  plan <file.dat> [--delta=] [--ryser-cutoff=20] [--prefer-sampler]\n"
+      "  plan <file.dat> [--delta=] [--ryser-cutoff=22] [--prefer-sampler]\n"
       "       [--adversary=...]\n"
       "                                        preview the estimator plan:\n"
       "                                        per-block method and cost\n"
       "                                        (see docs/ESTIMATORS.md)\n"
-      "  report <file.dat> [--tolerance=0.1] [--threads=1] [--json]\n"
-      "         [--estimator=oe|auto|exact|sampler] [--adversary=...]\n"
+      "  report <file.dat> [--tolerance=0.1] [--seed=7] [--runs=5]\n"
+      "         [--threads=1] [--json] [--estimator=oe|auto|exact|sampler]\n"
+      "         [--adversary=...] [--include-similarity-curve=true|false]\n"
       "                                        full risk report\n"
       "  serve [--port=N] [--workers=1] [--queue-capacity=16]\n"
       "        [--deadline-ms=0] [--cache-capacity=8] [--max-line-bytes=]\n"
@@ -851,6 +839,7 @@ std::string CliUsage() {
       "                                        (stdio without --port;\n"
       "                                        see docs/SERVER.md)\n"
       "  similarity <file.dat> [--seed=11] [--threads=1]\n"
+      "             [--samples-per-fraction=10]\n"
       "                                        Fig. 13 sampling curve\n"
       "  risk <file.dat> [--top=20]             per-item crack ranking\n"
       "  belief <file.dat> <out.belief> [--delta=]  belief-file template\n"
@@ -885,6 +874,9 @@ std::string CliUsage() {
       "                        ANONSAFE_LOG_LEVEL env var\n"
       "  --log-file=<path>     append JSON log lines to a file instead of\n"
       "                        stderr\n"
+      "\n"
+      "Compute-command flags are the serve request params spelled with\n"
+      "dashes, with the same defaults and bounds (docs/SERVER.md).\n"
       "\n"
       "Transaction files are FIMI format: one transaction per line,\n"
       "whitespace-separated integer item labels.\n";

@@ -35,35 +35,11 @@ Result<uint64_t> FlagAsUint64(const CliInvocation& cli,
                               uint64_t default_value);
 
 /// \brief Executes a parsed invocation, writing human-readable output to
-/// `out`. Subcommands:
-///
-///   stats <file.dat>                    dataset & frequency-group stats
-///   assess <file.dat> [--tolerance=]    the Fig. 8 Assess-Risk recipe
-///   report <file.dat> [--tolerance=]    full risk report (+ Fig. 13 curve)
-///   similarity <file.dat>               the Fig. 13 sampling curve
-///   anonymize <in.dat> <out.dat> [--seed=]   write an anonymized copy
-///   generate <BENCHMARK> <out.dat> [--scale=] [--seed=]
-///                                       synthesize a benchmark stand-in
-///   help                                usage
-///
-/// Global flags understood on every subcommand:
-///
-///   --trace               enable scoped tracing for the run and append the
-///                         per-phase span tree (indented timing table)
-///   --trace-format=<fmt>  trace rendering: `table` (default), `json`
-///                         (Tracer::ToJson) or `chrome` (trace-event JSON
-///                         loadable in Perfetto); implies --trace
-///   --trace-out=<path>    write the rendered trace to a file instead of
-///                         `out`; implies --trace
-///   --metrics-out=<path>  enable metrics, reset the process registry, and
-///                         after the run write it to `<path>` as JSON plus
-///                         a `.prom` sibling in Prometheus text format
-///   --log-level=<level>   structured-log threshold (error|warn|info|debug);
-///                         overrides the ANONSAFE_LOG_LEVEL env var
-///   --log-file=<path>     append JSON log lines to `<path>` instead of
-///                         stderr
-///
-/// Returns the first error encountered; `out` receives partial output.
+/// `out`. CliUsage() lists the subcommands and the global flags
+/// (`--trace*`, `--metrics-out`, `--log-*`); the flags of the compute
+/// commands are their serve twins' request params spelled with dashes,
+/// decoded by the same functions (serve/registry.h). Returns the first
+/// error encountered; `out` receives partial output.
 Status RunCli(const CliInvocation& cli, std::ostream& out);
 
 /// \brief Usage text.

@@ -57,6 +57,21 @@ TEST(CliParseTest, FlagAccessors) {
   EXPECT_TRUE(FlagAsUint64(*cli, "bad", 0).status().IsInvalidArgument());
 }
 
+// strtoull wraps "-1" to 2^64 - 1; an integer flag must refuse it rather
+// than run with a huge port, worker count or seed.
+TEST(CliParseTest, FlagAsUint64RejectsNegative) {
+  auto cli = ParseCli({"x", "--port=-1", "--seed=-0", "--workers=3"});
+  ASSERT_TRUE(cli.ok());
+  auto port = FlagAsUint64(*cli, "port", 0);
+  ASSERT_TRUE(port.status().IsInvalidArgument());
+  EXPECT_NE(port.status().message().find("expects an integer"),
+            std::string::npos);
+  EXPECT_TRUE(FlagAsUint64(*cli, "seed", 0).status().IsInvalidArgument());
+  auto workers = FlagAsUint64(*cli, "workers", 0);
+  ASSERT_TRUE(workers.ok());
+  EXPECT_EQ(*workers, 3u);
+}
+
 // ---------------------------------------------------------------- Commands
 
 TEST(CliRunTest, HelpAndUnknown) {
@@ -356,6 +371,34 @@ TEST(CliRunTest, ReportOnSampleFile) {
   std::ostringstream out;
   ASSERT_TRUE(RunCli(*cli, out).ok());
   EXPECT_NE(out.str().find("Disclosure Risk Report"), std::string::npos);
+}
+
+// Compute-command flags are the serve params spelled with dashes: typed
+// by the verb's param list, so a bool flag takes true/false and a number
+// flag keeps the historical parse error.
+TEST(CliRunTest, ComputeFlagsAreTypedServeParams) {
+  const std::string path = TempPath("cli_params.dat");
+  WriteSampleFile(path);
+  auto no_curve = ParseCli({"report", path, "--json", "--seed=3",
+                            "--include-similarity-curve=false"});
+  ASSERT_TRUE(no_curve.ok());
+  std::ostringstream out;
+  ASSERT_TRUE(RunCli(*no_curve, out).ok());
+  EXPECT_NE(out.str().find("\"similarity_curve\":[]"), std::string::npos)
+      << out.str();
+
+  auto bad_bool = ParseCli({"plan", path, "--prefer-sampler=maybe"});
+  ASSERT_TRUE(bad_bool.ok());
+  EXPECT_TRUE(RunCli(*bad_bool, out).IsInvalidArgument());
+
+  auto bad_number = ParseCli({"similarity", path, "--threads=abc"});
+  ASSERT_TRUE(bad_number.ok());
+  Status status = RunCli(*bad_number, out);
+  ASSERT_TRUE(status.IsInvalidArgument());
+  EXPECT_NE(status.message().find("flag --threads expects a number, got "
+                                  "'abc'"),
+            std::string::npos)
+      << status.message();
 }
 
 // ---------------------------------------------------------------- Adversary

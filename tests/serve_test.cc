@@ -10,6 +10,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "serve/transport.h"
 #include "tools/cli.h"
 #include "util/json.h"
+#include "util/table_printer.h"
 
 namespace anonsafe {
 namespace serve {
@@ -283,24 +285,57 @@ TEST(ServeTest, UnknownEstimatorIsInvalidParams) {
   EXPECT_EQ(ErrorCode(response), kErrInvalidParams);
 }
 
-// Out-of-range or fractional exec params are rejected per request; the
-// server neither aborts (a huge `threads` once overflowed the pool's
+// Out-of-range or fractional integer params are rejected per request;
+// the server neither aborts (a huge `threads` once overflowed the pool's
 // reserve) nor spawns a thread per unit of the number, and keeps
-// answering afterwards.
+// answering afterwards. The CLI decodes its flags with the same bounds,
+// so each bad value is also InvalidArgument from the CLI twin.
 TEST(ServeTest, BadExecParamsAreInvalidParams) {
-  Server server;
-  const std::string key = LoadDataset(server);
+  const std::string path = WriteDatasetFile();
+  struct Case {
+    std::string param;
+    std::string value;
+    std::string verb;     // serve verb carrying `param`
+    std::string command;  // CLI twin reading `--<param with dashes>`
+  };
+  std::vector<Case> cases;
   for (const std::string param : {"threads", "runs", "seed"}) {
     for (const std::string value : {"1e19", "1e5", "2.5", "-1"}) {
       if (param == "seed" && value == "1e5") continue;  // a valid seed
-      json::Value response = Send(
-          server, "{\"schema_version\":1,\"verb\":\"assess_risk\","
-                  "\"params\":{\"dataset\":\"" + key + "\",\"" + param +
-                      "\":" + value + "}}");
-      EXPECT_FALSE(IsOk(response)) << param << "=" << value;
-      EXPECT_EQ(ErrorCode(response), kErrInvalidParams)
-          << param << "=" << value;
+      cases.push_back({param, value, "assess_risk", "report"});
     }
+  }
+  // The server default deadline is the CLI twin of the request param.
+  for (const std::string value : {"1e300", "-5"}) {
+    cases.push_back({"deadline_ms", value, "assess_risk", "serve"});
+  }
+  cases.push_back(
+      {"ryser_cutoff", "2.5", "recommend_defense", "recommend-defense"});
+  for (const std::string value : {"2.5", "1e300"}) {
+    cases.push_back({"samples_per_fraction", value, "similarity",
+                     "similarity"});
+  }
+
+  Server server;
+  const std::string key = LoadDataset(server);
+  for (const Case& c : cases) {
+    json::Value response = Send(
+        server, "{\"schema_version\":2,\"verb\":\"" + c.verb +
+                    "\",\"params\":{\"dataset\":\"" + key + "\",\"" +
+                    c.param + "\":" + c.value + "}}");
+    EXPECT_FALSE(IsOk(response)) << c.param << "=" << c.value;
+    EXPECT_EQ(ErrorCode(response), kErrInvalidParams)
+        << c.param << "=" << c.value;
+
+    std::string flag = c.param;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    CliInvocation cli;
+    cli.command = c.command;
+    if (c.command != "serve") cli.positional = {path};
+    cli.flags[flag] = c.value;
+    std::ostringstream cli_out;
+    EXPECT_TRUE(RunCli(cli, cli_out).IsInvalidArgument())
+        << c.command << " --" << flag << "=" << c.value;
   }
   json::Value after =
       Send(server, "{\"schema_version\":1,\"verb\":\"assess_risk\","
@@ -310,38 +345,78 @@ TEST(ServeTest, BadExecParamsAreInvalidParams) {
 }
 
 // The tentpole acceptance criterion: the serve response embeds the exact
-// document the one-shot CLI prints, at any thread count.
+// document the one-shot CLI prints, at any thread count — at default
+// params and at a non-default seed/runs the CLI spells as flags.
 TEST(ServeTest, AssessRiskBitIdenticalToCli) {
   const std::string path = WriteDatasetFile();
 
+  struct Case {
+    std::map<std::string, std::string> flags;
+    std::string params;  // the same values as request params
+  };
+  for (const Case& c : {Case{{}, ""},
+                        Case{{{"seed", "3"}, {"runs", "2"}},
+                             ",\"seed\":3,\"runs\":2"}}) {
+    CliInvocation cli;
+    cli.command = "report";
+    cli.positional = {path};
+    cli.flags = c.flags;
+    cli.flags["json"] = "true";
+    std::ostringstream cli_out;
+    ASSERT_TRUE(RunCli(cli, cli_out).ok());
+    std::string cli_line = cli_out.str();
+    ASSERT_FALSE(cli_line.empty());
+    ASSERT_EQ(cli_line.back(), '\n');
+    cli_line.pop_back();
+
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      Server server;
+      json::Value load =
+          Send(server,
+               "{\"schema_version\":1,\"verb\":\"load_dataset\","
+               "\"params\":{\"path\":\"" + path + "\"}}");
+      ASSERT_TRUE(IsOk(load));
+      auto key = load.Find("result")->GetString("dataset");
+      ASSERT_TRUE(key.ok());
+      json::Value assess =
+          Send(server, "{\"schema_version\":1,\"verb\":\"assess_risk\","
+                       "\"params\":{\"dataset\":\"" + *key +
+                           "\",\"threads\":" + std::to_string(threads) +
+                           c.params + "}}");
+      ASSERT_TRUE(IsOk(assess));
+      EXPECT_EQ(assess.Find("result")->Find("report")->Dump(), cli_line)
+          << "threads=" << threads << c.params;
+    }
+  }
+}
+
+// `similarity` decodes the same params on both front ends: the serve
+// curve, rendered as the CLI's table, is byte-identical to the CLI run.
+TEST(ServeTest, SimilarityBitIdenticalToCli) {
+  const std::string path = WriteDatasetFile();
   CliInvocation cli;
-  cli.command = "report";
+  cli.command = "similarity";
   cli.positional = {path};
-  cli.flags["json"] = "true";
+  cli.flags = {{"seed", "3"}, {"samples-per-fraction", "2"}};
   std::ostringstream cli_out;
   ASSERT_TRUE(RunCli(cli, cli_out).ok());
-  std::string cli_line = cli_out.str();
-  ASSERT_FALSE(cli_line.empty());
-  ASSERT_EQ(cli_line.back(), '\n');
-  cli_line.pop_back();
 
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    Server server;
-    json::Value load =
-        Send(server,
-             "{\"schema_version\":1,\"verb\":\"load_dataset\","
-             "\"params\":{\"path\":\"" + path + "\"}}");
-    ASSERT_TRUE(IsOk(load));
-    auto key = load.Find("result")->GetString("dataset");
-    ASSERT_TRUE(key.ok());
-    json::Value assess =
-        Send(server, "{\"schema_version\":1,\"verb\":\"assess_risk\","
-                     "\"params\":{\"dataset\":\"" + *key +
-                         "\",\"threads\":" + std::to_string(threads) + "}}");
-    ASSERT_TRUE(IsOk(assess));
-    EXPECT_EQ(assess.Find("result")->Find("report")->Dump(), cli_line)
-        << "threads=" << threads;
+  Server server;
+  const std::string key = LoadDataset(server);
+  json::Value response =
+      Send(server, "{\"schema_version\":1,\"verb\":\"similarity\","
+                   "\"params\":{\"dataset\":\"" + key +
+                       "\",\"seed\":3,\"samples_per_fraction\":2}}");
+  ASSERT_TRUE(IsOk(response));
+  TablePrinter t({"sample %", "mean alpha", "stddev", "delta'_med"});
+  for (const json::Value& p : response.Find("result")->Find("curve")->items()) {
+    auto number = [&p](const char* name) { return *p.GetNumber(name); };
+    t.AddRow({TablePrinter::Fmt(number("sample_fraction") * 100.0, 0),
+              TablePrinter::Fmt(number("mean_alpha"), 4),
+              TablePrinter::Fmt(number("stddev_alpha"), 4),
+              TablePrinter::FmtG(number("mean_delta"))});
   }
+  EXPECT_EQ(t.ToString(), cli_out.str());
 }
 
 TEST(ServeTest, AdversaryReportsBitIdenticalToCli) {
