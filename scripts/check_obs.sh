@@ -8,7 +8,9 @@
 #   3. `anonsafe serve --log-file=...` writes a JSON-lines access log
 #      with the documented per-request schema, and `--log-level=error`
 #      silences it (level filtering works end to end),
-#   4. an invalid `--trace-format` is rejected.
+#   4. an invalid `--trace-format` is rejected,
+#   5. a `report` trace covers load and render: top-level
+#      `data.read_fimi` and `core.render` spans.
 #
 # Usage:
 #   scripts/check_obs.sh [path/to/anonsafe]
@@ -124,4 +126,16 @@ if "$CLI" assess "$data" --trace-format=jaeger > /dev/null 2>&1; then
   fail "invalid --trace-format was accepted"
 fi
 
-echo "check_obs: OK (chrome + json traces valid; access log schema + level filtering; flag validation)"
+# --- 5. Report trace covers load and render ----------------------------
+report_spans="$workdir/report_spans.json"
+"$CLI" report "$data" --trace-format=json --trace-out="$report_spans" \
+  > /dev/null || fail "report with --trace-format=json failed"
+python3 - "$report_spans" <<'EOF' || fail "report trace misses load or render"
+import json, sys
+spans = json.load(open(sys.argv[1]))
+roots = [s["name"] for s in spans if s["parent"] is None]
+assert roots[0] == "data.read_fimi", f"load is not the first span: {roots}"
+assert roots[-1] == "core.render", f"render is not the last span: {roots}"
+EOF
+
+echo "check_obs: OK (chrome + json traces valid; access log schema + level filtering; flag validation; report load + render spans)"

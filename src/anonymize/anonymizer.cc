@@ -43,12 +43,13 @@ Result<Database> Anonymizer::AnonymizeDatabase(const Database& db) const {
         " does not match mapping size " + std::to_string(num_items()));
   }
   Database out(num_items());
-  for (const Transaction& txn : db.transactions()) {
-    Transaction mapped;
-    mapped.reserve(txn.size());
-    for (ItemId x : txn) mapped.push_back(forward_[x]);
+  out.Reserve(db.num_transactions(), db.TotalSize());
+  Transaction mapped;
+  for (size_t t = 0; t < db.num_transactions(); ++t) {
+    mapped.clear();
+    for (ItemId x : db.transaction(t)) mapped.push_back(forward_[x]);
     std::sort(mapped.begin(), mapped.end());
-    out.AddTransactionUnchecked(std::move(mapped));
+    out.AddTransactionUnchecked(mapped);
   }
   return out;
 }

@@ -38,14 +38,13 @@ Status CountMaskedSupports(const Database& db,
                            exec::ExecContext* ctx,
                            std::vector<std::vector<SupportCount>>* partials,
                            std::vector<SupportCount>* supports) {
-  const std::vector<Transaction>& txns = db.transactions();
   ANONSAFE_RETURN_IF_ERROR(exec::ParallelForChunks(
-      ctx, txns.size(), grain, [&](size_t begin, size_t end) {
+      ctx, db.num_transactions(), grain, [&](size_t begin, size_t end) {
         std::vector<SupportCount>& counts = (*partials)[begin / grain];
         std::fill(counts.begin(), counts.end(), 0);
         for (size_t t = begin; t < end; ++t) {
           if (mask[t] == 0) continue;
-          for (ItemId x : txns[t]) counts[x] += 1;
+          for (ItemId x : db.transaction(t)) counts[x] += 1;
         }
         return Status::OK();
       }));

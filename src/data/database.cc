@@ -17,27 +17,26 @@ Status Database::AddTransaction(Transaction items) {
         "item id " + std::to_string(items.back()) +
         " outside domain of size " + std::to_string(num_items_));
   }
-  transactions_.push_back(std::move(items));
+  AddTransactionUnchecked(items);
   return Status::OK();
 }
 
-void Database::AddTransactionUnchecked(Transaction items) {
+void Database::AddTransactionUnchecked(std::span<const ItemId> items) {
   assert(!items.empty());
   assert(std::is_sorted(items.begin(), items.end()));
   assert(std::adjacent_find(items.begin(), items.end()) == items.end());
   assert(items.back() < num_items_);
-  transactions_.push_back(std::move(items));
+  items_.insert(items_.end(), items.begin(), items.end());
+  offsets_.push_back(items_.size());
 }
 
-size_t Database::TotalSize() const {
-  size_t total = 0;
-  for (const auto& t : transactions_) total += t.size();
-  return total;
+void Database::Reserve(size_t num_transactions, size_t total_size) {
+  offsets_.reserve(offsets_.size() + num_transactions);
+  items_.reserve(items_.size() + total_size);
 }
 
-bool Database::Contains(size_t t, ItemId item) const {
-  const Transaction& txn = transactions_[t];
-  return std::binary_search(txn.begin(), txn.end(), item);
+void Database::ExtendDomain(size_t num_items) {
+  num_items_ = std::max(num_items_, num_items);
 }
 
 Result<Database> Database::FromTransactions(
@@ -72,8 +71,8 @@ Result<Database> ConcatDatabases(
   }
   Database out(n);
   for (const Database* part : parts) {
-    for (const Transaction& txn : part->transactions()) {
-      out.AddTransactionUnchecked(txn);
+    for (size_t t = 0; t < part->num_transactions(); ++t) {
+      out.AddTransactionUnchecked(part->transaction(t));
     }
   }
   return out;

@@ -1,6 +1,8 @@
 #ifndef ANONSAFE_DATA_DATABASE_H_
 #define ANONSAFE_DATA_DATABASE_H_
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,9 +16,14 @@ namespace anonsafe {
 ///
 /// Matches the paper's Section 2.1 model: a database D is a sequence of
 /// transactions <T_1, ..., T_m>, each a non-empty subset of the universe
-/// I with |I| = n. Transactions are stored as sorted, duplicate-free item
-/// vectors. The domain size is fixed at construction; items not appearing
-/// in any transaction are still part of the domain (with frequency 0).
+/// I with |I| = n. The domain size is fixed at construction; items not
+/// appearing in any transaction are still part of the domain (with
+/// frequency 0).
+///
+/// Memory layout: CSR, as in `BipartiteGraph` — every transaction's
+/// sorted, duplicate-free items sit back to back in one flat array, and
+/// row t is `items[offsets[t], offsets[t+1])`. Rows are appended and read,
+/// never edited in place.
 class Database {
  public:
   /// Creates an empty database over the domain `{0, ..., num_items-1}`.
@@ -25,28 +32,39 @@ class Database {
   /// \brief Appends a transaction.
   ///
   /// The items are sorted and deduplicated. Fails with InvalidArgument if
-  /// the transaction is empty or references an item outside the domain.
+  /// the transaction is empty or references an item outside the domain;
+  /// a rejected transaction leaves the database unchanged.
   Status AddTransaction(Transaction items);
 
   /// \brief Appends a transaction known to be sorted, unique and in-domain.
   /// Used by generators on hot paths; validated only in debug builds.
-  void AddTransactionUnchecked(Transaction items);
+  void AddTransactionUnchecked(std::span<const ItemId> items);
+
+  /// \brief Pre-allocates room for `num_transactions` more rows holding
+  /// `total_size` more items, so appends up to that size never reallocate.
+  void Reserve(size_t num_transactions, size_t total_size);
+
+  /// \brief Grows the domain to at least `num_items` items, for readers
+  /// that discover the domain row by row.
+  void ExtendDomain(size_t num_items);
 
   size_t num_items() const { return num_items_; }
-  size_t num_transactions() const { return transactions_.size(); }
+  size_t num_transactions() const { return offsets_.size() - 1; }
 
-  /// \brief Returns transaction `t` (0-based). Requires `t` in range.
-  const Transaction& transaction(size_t t) const { return transactions_[t]; }
-
-  const std::vector<Transaction>& transactions() const {
-    return transactions_;
+  /// \brief Returns transaction `t` (0-based), sorted ascending. Requires
+  /// `t` in range. The span is invalidated by the next append.
+  std::span<const ItemId> transaction(size_t t) const {
+    return {items_.data() + offsets_[t], items_.data() + offsets_[t + 1]};
   }
 
   /// \brief Total number of (transaction, item) occurrences.
-  size_t TotalSize() const;
+  size_t TotalSize() const { return items_.size(); }
 
   /// \brief True if transaction `t` contains `item` (binary search).
-  bool Contains(size_t t, ItemId item) const;
+  bool Contains(size_t t, ItemId item) const {
+    const std::span<const ItemId> txn = transaction(t);
+    return std::binary_search(txn.begin(), txn.end(), item);
+  }
 
   /// \brief Builds a database directly from a vector of raw transactions.
   /// Each is validated as in `AddTransaction`.
@@ -58,7 +76,8 @@ class Database {
 
  private:
   size_t num_items_;
-  std::vector<Transaction> transactions_;
+  std::vector<size_t> offsets_{0};  // num_transactions() + 1 entries
+  std::vector<ItemId> items_;
 };
 
 /// \brief Pools several databases over one shared item domain — the

@@ -11,8 +11,8 @@ Result<FrequencyTable> FrequencyTable::Compute(const Database& db) {
         "cannot compute frequencies of an empty database");
   }
   std::vector<SupportCount> supports(db.num_items(), 0);
-  for (const Transaction& t : db.transactions()) {
-    for (ItemId x : t) supports[x] += 1;
+  for (size_t t = 0; t < db.num_transactions(); ++t) {
+    for (ItemId x : db.transaction(t)) supports[x] += 1;
   }
   return FrequencyTable(std::move(supports), db.num_transactions());
 }

@@ -134,9 +134,10 @@ Result<Database> GenerateDatabase(const FrequencyProfile& profile, Rng* rng) {
   }
 
   Database db(supports.size());
+  db.Reserve(m, total_occurrences);
   for (auto& t : txns) {
     std::sort(t.begin(), t.end());
-    db.AddTransactionUnchecked(std::move(t));
+    db.AddTransactionUnchecked(t);
   }
   return db;
 }
@@ -152,7 +153,7 @@ Result<Database> GenerateUniformDatabase(size_t num_items,
     std::vector<size_t> picks =
         rng->SampleWithoutReplacement(num_items, txn_size);
     Transaction txn(picks.begin(), picks.end());
-    db.AddTransactionUnchecked(std::move(txn));
+    db.AddTransactionUnchecked(txn);
   }
   return db;
 }

@@ -89,7 +89,7 @@ Result<Database> GenerateQuestDatabase(const QuestParams& params) {
       txn.insert(static_cast<ItemId>(rng.UniformUint64(params.num_items)));
     }
     Transaction out(txn.begin(), txn.end());
-    db.AddTransactionUnchecked(std::move(out));
+    db.AddTransactionUnchecked(out);
   }
   return db;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <numeric>
 #include <string>
 
 #include "defense/scheme.h"
@@ -167,12 +169,27 @@ Result<Database> ApplySupportChanges(
     }
   }
 
-  std::vector<Transaction> txns(db.transactions());
-
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
                             FrequencyTable::Compute(db));
 
-  for (ItemId x = 0; x < db.num_items(); ++x) {
+  // Edits are chosen item by item against the input rows: x's holders
+  // are still the input rows holding x, because edits for earlier items
+  // never touch x. Only the row sizes move, and the removal rule reads
+  // them. An edit of row t for item x toggles x in row t; x's edits are
+  // edit_rows[edit_first[x], edit_first[x+1]).
+  const size_t n = db.num_items();
+  std::vector<size_t> sizes(m);
+  for (size_t t = 0; t < m; ++t) sizes[t] = db.transaction(t).size();
+  std::vector<size_t> edit_first(n + 1, 0);
+  for (ItemId x = 0; x < n; ++x) {
+    const SupportCount current = table.support(x);
+    const SupportCount target = new_supports[x];
+    edit_first[x + 1] = edit_first[x] +
+                        (target > current ? target - current : current - target);
+  }
+  std::vector<size_t> edit_rows;
+  edit_rows.reserve(edit_first[n]);
+  for (ItemId x = 0; x < n; ++x) {
     const SupportCount current = table.support(x);
     const SupportCount target = new_supports[x];
     if (current == target) continue;
@@ -180,7 +197,7 @@ Result<Database> ApplySupportChanges(
     // Locate holders / non-holders once per changed item.
     std::vector<size_t> holders, others;
     for (size_t t = 0; t < m; ++t) {
-      if (std::binary_search(txns[t].begin(), txns[t].end(), x)) {
+      if (db.Contains(t, x)) {
         holders.push_back(t);
       } else {
         others.push_back(t);
@@ -194,8 +211,8 @@ Result<Database> ApplySupportChanges(
         return Status::Internal("support accounting out of sync");
       }
       for (size_t i = 0; i < need; ++i) {
-        Transaction& txn = txns[others[i]];
-        txn.insert(std::upper_bound(txn.begin(), txn.end(), x), x);
+        edit_rows.push_back(others[i]);
+        ++sizes[others[i]];
       }
     } else {
       size_t need = current - target;
@@ -203,9 +220,9 @@ Result<Database> ApplySupportChanges(
       size_t removed = 0;
       for (size_t t : holders) {
         if (removed == need) break;
-        if (txns[t].size() <= 1) continue;  // never empty a transaction
-        auto it = std::lower_bound(txns[t].begin(), txns[t].end(), x);
-        txns[t].erase(it);
+        if (sizes[t] <= 1) continue;  // never empty a transaction
+        edit_rows.push_back(t);
+        --sizes[t];
         ++removed;
       }
       if (removed != need) {
@@ -216,8 +233,31 @@ Result<Database> ApplySupportChanges(
     }
   }
 
-  Database out(db.num_items());
-  for (auto& t : txns) out.AddTransactionUnchecked(std::move(t));
+  // Regroup the edits by row (a counting sort): row t's toggled items
+  // end up ascending in toggled[first[t], first[t+1]).
+  std::vector<size_t> first(m + 1, 0);
+  for (size_t t : edit_rows) ++first[t];
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<ItemId> toggled(edit_rows.size());
+  for (ItemId x = n; x-- > 0;) {
+    for (size_t e = edit_first[x]; e < edit_first[x + 1]; ++e) {
+      toggled[--first[edit_rows[e]]] = x;
+    }
+  }
+
+  Database out(n);
+  out.Reserve(m, std::accumulate(new_supports.begin(), new_supports.end(),
+                                 size_t{0}));
+  Transaction row;
+  for (size_t t = 0; t < m; ++t) {
+    const std::span<const ItemId> in = db.transaction(t);
+    row.clear();
+    std::set_symmetric_difference(in.begin(), in.end(),
+                                  toggled.begin() + first[t],
+                                  toggled.begin() + first[t + 1],
+                                  std::back_inserter(row));
+    out.AddTransactionUnchecked(row);
+  }
   return out;
 }
 

@@ -119,14 +119,23 @@ Result<Database> ApplySuppression(const Database& db,
     }
     drop[x] = true;
   }
+  size_t rows = 0, total = 0;
+  for (size_t t = 0; t < db.num_transactions(); ++t) {
+    const std::span<const ItemId> txn = db.transaction(t);
+    const auto kept = static_cast<size_t>(std::count_if(
+        txn.begin(), txn.end(), [&](ItemId x) { return !drop[x]; }));
+    total += kept;
+    rows += kept > 0 ? 1 : 0;
+  }
   Database out(db.num_items());
-  for (const Transaction& txn : db.transactions()) {
-    Transaction kept;
-    kept.reserve(txn.size());
-    for (ItemId x : txn) {
+  out.Reserve(rows, total);
+  Transaction kept;
+  for (size_t t = 0; t < db.num_transactions(); ++t) {
+    kept.clear();
+    for (ItemId x : db.transaction(t)) {
       if (!drop[x]) kept.push_back(x);
     }
-    if (!kept.empty()) out.AddTransactionUnchecked(std::move(kept));
+    if (!kept.empty()) out.AddTransactionUnchecked(kept);
   }
   return out;
 }

@@ -137,7 +137,7 @@ bool BipartiteGraph::HasEdge(ItemId a, ItemId x) const {
   if (!row_masks_.empty()) {
     return (row_masks_[a] >> x) & 1;
   }
-  AdjacencyRow row = items_of_anon(a);
+  const std::span<const ItemId> row = items_of_anon(a);
   return std::binary_search(row.begin(), row.end(), x);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "belief/belief_function.h"
@@ -34,26 +35,6 @@ namespace anonsafe {
 /// The compressed `ConsistencyStructure` is the large-n path.
 class BipartiteGraph {
  public:
-  /// \brief Non-owning view over one adjacency row of the flat CSR
-  /// arrays; iterable and indexable like a `const vector<ItemId>&`.
-  class AdjacencyRow {
-   public:
-    const ItemId* begin() const { return begin_; }
-    const ItemId* end() const { return end_; }
-    const ItemId* data() const { return begin_; }
-    size_t size() const { return static_cast<size_t>(end_ - begin_); }
-    bool empty() const { return begin_ == end_; }
-    ItemId operator[](size_t i) const { return begin_[i]; }
-    ItemId front() const { return *begin_; }
-    ItemId back() const { return *(end_ - 1); }
-
-   private:
-    friend class BipartiteGraph;
-    AdjacencyRow(const ItemId* b, const ItemId* e) : begin_(b), end_(e) {}
-    const ItemId* begin_;
-    const ItemId* end_;
-  };
-
   /// \brief Default edge budget for `Build` (64M edges ≈ 256 MB).
   static constexpr size_t kDefaultMaxEdges = 64u * 1024 * 1024;
 
@@ -74,14 +55,14 @@ class BipartiteGraph {
   size_t num_edges() const { return num_edges_; }
 
   /// \brief Original items adjacent to anonymized item `a`, sorted.
-  AdjacencyRow items_of_anon(ItemId a) const {
+  std::span<const ItemId> items_of_anon(ItemId a) const {
     return {items_flat_.data() + anon_offsets_[a],
             items_flat_.data() + anon_offsets_[a + 1]};
   }
 
   /// \brief Anonymized items adjacent to original item `x`, sorted.
   /// The size of this list is the paper's outdegree O_x.
-  AdjacencyRow anons_of_item(ItemId x) const {
+  std::span<const ItemId> anons_of_item(ItemId x) const {
     return {anons_flat_.data() + item_offsets_[x],
             anons_flat_.data() + item_offsets_[x + 1]};
   }

@@ -101,7 +101,8 @@ Result<std::vector<FrequentItemset>> MineApriori(
     // Counting pass: mark the transaction's items in a dense flag array,
     // then test each candidate with O(k) flag lookups.
     std::vector<SupportCount> counts(candidates.size(), 0);
-    for (const Transaction& txn : db.transactions()) {
+    for (size_t t = 0; t < db.num_transactions(); ++t) {
+      const std::span<const ItemId> txn = db.transaction(t);
       if (txn.size() < level) continue;
       for (ItemId x : txn) in_txn[x] = true;
       for (size_t c = 0; c < candidates.size(); ++c) {

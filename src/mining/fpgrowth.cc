@@ -214,9 +214,9 @@ Result<std::vector<FrequentItemset>> MineFPGrowth(
   for (size_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
 
   FpTree tree(db.num_items());
-  for (const Transaction& txn : db.transactions()) {
+  for (size_t t = 0; t < db.num_transactions(); ++t) {
     std::vector<ItemId> path;
-    for (ItemId x : txn) {
+    for (ItemId x : db.transaction(t)) {
       if (rank[x] != SIZE_MAX) path.push_back(x);
     }
     std::sort(path.begin(), path.end(),

@@ -30,7 +30,7 @@ Result<PairPrunedGraph> PruneWithPairBeliefs(
   // Mutable domains: candidate anonymized items per original item.
   std::vector<std::vector<ItemId>> domain(n);
   for (ItemId x = 0; x < n; ++x) {
-    BipartiteGraph::AdjacencyRow row = graph.anons_of_item(x);
+    const std::span<const ItemId> row = graph.anons_of_item(x);
     domain[x].assign(row.begin(), row.end());
   }
 

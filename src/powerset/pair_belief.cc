@@ -17,7 +17,8 @@ Result<PairSupportMatrix> PairSupportMatrix::Compute(const Database& db,
         " items, database has " + std::to_string(db.num_items()));
   }
   PairSupportMatrix out(db.num_items(), db.num_transactions());
-  for (const Transaction& txn : db.transactions()) {
+  for (size_t t = 0; t < db.num_transactions(); ++t) {
+    const std::span<const ItemId> txn = db.transaction(t);
     for (size_t i = 0; i < txn.size(); ++i) {
       for (size_t j = i; j < txn.size(); ++j) {
         // Includes the diagonal so support(x, x) is x's item support.

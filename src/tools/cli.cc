@@ -31,6 +31,7 @@
 #include "obs/export.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "serve/registry.h"
 #include "serve/server.h"
@@ -221,6 +222,7 @@ Status RunReport(const CliInvocation& cli, std::ostream& out) {
                             ReadFimiFile(cli.positional[0]));
   ANONSAFE_ASSIGN_OR_RETURN(RiskReport report,
                             BuildRiskReport(data.database, options));
+  ANONSAFE_SCOPED_TIMER("core.render");
   if (cli.flags.count("json") > 0) {
     // The same document the serve `assess_risk` verb embeds — one emitter,
     // so CLI and server output are bit-identical (see docs/SERVER.md).

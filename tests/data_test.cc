@@ -7,6 +7,7 @@
 #include "data/frequency.h"
 #include "data/sampling.h"
 #include "util/rng.h"
+#include "test_rows.h"
 
 namespace anonsafe {
 namespace {
@@ -43,7 +44,7 @@ TEST(DatabaseTest, AddTransactionValidates) {
 TEST(DatabaseTest, SortsAndDeduplicates) {
   Database db(5);
   ASSERT_TRUE(db.AddTransaction({4, 2, 2, 0, 4}).ok());
-  EXPECT_EQ(db.transaction(0), (Transaction{0, 2, 4}));
+  EXPECT_EQ(Row(db, 0), (Transaction{0, 2, 4}));
 }
 
 TEST(DatabaseTest, TotalSizeAndContains) {
@@ -54,6 +55,45 @@ TEST(DatabaseTest, TotalSizeAndContains) {
   EXPECT_TRUE(db.Contains(0, 1));
   EXPECT_FALSE(db.Contains(0, 2));
   EXPECT_TRUE(db.Contains(1, 3));
+}
+
+TEST(DatabaseTest, RejectedAddLeavesDatabaseUnchanged) {
+  Database db(4);
+  ASSERT_TRUE(db.AddTransaction({0, 1}).ok());
+  ASSERT_TRUE(db.AddTransaction({3, 2}).ok());
+  const std::vector<Transaction> before = {{0, 1}, {2, 3}};
+  const std::vector<Transaction> rejected = {
+      {},            // empty
+      {0, 9},        // an id out of domain
+      {9, 0, 9, 1},  // out of domain, caught after the sort and dedup
+      {4, 4}};       // dedups to one out-of-domain id
+  for (const Transaction& txn : rejected) {
+    EXPECT_TRUE(db.AddTransaction(txn).IsInvalidArgument());
+    EXPECT_EQ(db.num_transactions(), 2u);
+    EXPECT_EQ(db.TotalSize(), 4u);
+    EXPECT_EQ(Rows(db), before);
+  }
+  // The next accepted row lands right after the earlier ones.
+  ASSERT_TRUE(db.AddTransaction({1}).ok());
+  EXPECT_EQ(Rows(db), (std::vector<Transaction>{{0, 1}, {2, 3}, {1}}));
+}
+
+TEST(DatabaseTest, TotalSizeIsTheSumOfRowSizes) {
+  Database empty(3);
+  EXPECT_EQ(empty.num_transactions(), 0u);
+  EXPECT_EQ(empty.TotalSize(), 0u);
+  Rng rng(11);
+  Database db(20);
+  for (int t = 0; t < 50; ++t) {
+    Transaction txn(static_cast<size_t>(rng.UniformInt(1, 12)));
+    for (ItemId& x : txn) x = static_cast<ItemId>(rng.UniformUint64(20));
+    ASSERT_TRUE(db.AddTransaction(txn).ok());
+  }
+  size_t sum = 0;
+  for (size_t t = 0; t < db.num_transactions(); ++t) {
+    sum += db.transaction(t).size();
+  }
+  EXPECT_EQ(db.TotalSize(), sum);
 }
 
 TEST(DatabaseTest, FromTransactionsPropagatesErrors) {
@@ -259,12 +299,29 @@ TEST(ConcatDatabasesTest, PoolsTransactionsInOrder) {
   auto pooled = ConcatDatabases({&a, &b});
   ASSERT_TRUE(pooled.ok());
   EXPECT_EQ(pooled->num_transactions(), 3u);
-  EXPECT_EQ(pooled->transaction(0), (Transaction{0, 1}));
-  EXPECT_EQ(pooled->transaction(2), (Transaction{1, 2}));
+  EXPECT_EQ(Row(*pooled, 0), (Transaction{0, 1}));
+  EXPECT_EQ(Row(*pooled, 2), (Transaction{1, 2}));
   // Supports add up across partners.
   auto table = FrequencyTable::Compute(*pooled);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->support(2), 2u);
+}
+
+TEST(ConcatDatabasesTest, KeepsPartOrder) {
+  Database a(3), b(3), c(3);
+  ASSERT_TRUE(a.AddTransaction({0}).ok());
+  ASSERT_TRUE(a.AddTransaction({1, 2}).ok());
+  ASSERT_TRUE(c.AddTransaction({2}).ok());
+  ASSERT_TRUE(c.AddTransaction({0, 1, 2}).ok());
+  auto forward = ConcatDatabases({&a, &b, &c});  // b is empty
+  ASSERT_TRUE(forward.ok());
+  EXPECT_EQ(Rows(*forward),
+            (std::vector<Transaction>{{0}, {1, 2}, {2}, {0, 1, 2}}));
+  EXPECT_EQ(forward->TotalSize(), a.TotalSize() + c.TotalSize());
+  auto backward = ConcatDatabases({&c, &b, &a});
+  ASSERT_TRUE(backward.ok());
+  EXPECT_EQ(Rows(*backward),
+            (std::vector<Transaction>{{2}, {0, 1, 2}, {0}, {1, 2}}));
 }
 
 TEST(ConcatDatabasesTest, Validation) {
@@ -300,7 +357,7 @@ TEST(FimiIoTest, RandomDatabaseRoundTripsExactly) {
     ASSERT_TRUE(loaded.ok());
     ASSERT_EQ(loaded->database.num_transactions(), db.num_transactions());
     for (size_t t = 0; t < db.num_transactions(); ++t) {
-      EXPECT_EQ(loaded->database.transaction(t), db.transaction(t));
+      EXPECT_EQ(Row(loaded->database, t), Row(db, t));
     }
   }
 }

@@ -7,6 +7,7 @@
 #include "datagen/profile.h"
 #include "datagen/quest.h"
 #include "util/rng.h"
+#include "test_rows.h"
 
 namespace anonsafe {
 namespace {
@@ -94,7 +95,7 @@ TEST(GenerateDatabaseTest, RealizesProfileExactly) {
     EXPECT_EQ(table->support(x), expected[x]) << "item " << x;
   }
   // Every transaction non-empty by construction.
-  for (const auto& t : db->transactions()) EXPECT_FALSE(t.empty());
+  for (const auto& t : Rows(*db)) EXPECT_FALSE(t.empty());
 }
 
 TEST(GenerateDatabaseTest, RepairPathKeepsSupports) {
@@ -105,7 +106,7 @@ TEST(GenerateDatabaseTest, RepairPathKeepsSupports) {
   ASSERT_TRUE(p.ok());  // occurrences = 30 + 25 = 55 >= 50
   auto db = GenerateDatabase(*p, &rng);
   ASSERT_TRUE(db.ok());
-  for (const auto& t : db->transactions()) EXPECT_FALSE(t.empty());
+  for (const auto& t : Rows(*db)) EXPECT_FALSE(t.empty());
   auto table = FrequencyTable::Compute(*db);
   ASSERT_TRUE(table.ok());
   for (ItemId x = 0; x < 30; ++x) EXPECT_EQ(table->support(x), 1u);
@@ -124,7 +125,7 @@ TEST(GenerateUniformDatabaseTest, ShapeAndValidation) {
   auto db = GenerateUniformDatabase(20, 15, 4, &rng);
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db->num_transactions(), 15u);
-  for (const auto& t : db->transactions()) EXPECT_EQ(t.size(), 4u);
+  for (const auto& t : Rows(*db)) EXPECT_EQ(t.size(), 4u);
   EXPECT_TRUE(GenerateUniformDatabase(3, 5, 0, &rng)
                   .status().IsInvalidArgument());
   EXPECT_TRUE(GenerateUniformDatabase(3, 5, 4, &rng)
@@ -297,7 +298,7 @@ TEST(QuestTest, DeterministicBySeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (size_t t = 0; t < a->num_transactions(); ++t) {
-    EXPECT_EQ(a->transaction(t), b->transaction(t));
+    EXPECT_EQ(Row(*a, t), Row(*b, t));
   }
 }
 

@@ -7,6 +7,7 @@
 #include "defense/scheme.h"
 #include "mining/miner.h"
 #include "util/rng.h"
+#include "test_rows.h"
 
 namespace anonsafe {
 namespace {
@@ -165,7 +166,7 @@ TEST(ApplyChangesTest, RealizesTargetsExactly) {
   for (ItemId x = 0; x < 7; ++x) {
     EXPECT_EQ(table->support(x), targets[x]) << "item " << x;
   }
-  for (const auto& t : changed->transactions()) EXPECT_FALSE(t.empty());
+  for (const auto& t : Rows(*changed)) EXPECT_FALSE(t.empty());
   EXPECT_EQ(changed->num_transactions(), db->num_transactions());
 }
 

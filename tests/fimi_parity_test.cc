@@ -14,6 +14,7 @@
 
 #include "data/fimi_io.h"
 #include "util/rng.h"
+#include "test_rows.h"
 
 namespace anonsafe {
 namespace {
@@ -72,7 +73,7 @@ std::string Diff(const Result<LabeledDatabase>& want,
   if (want->database.num_items() != got->database.num_items()) {
     return "domain sizes differ";
   }
-  if (want->database.transactions() != got->database.transactions()) {
+  if (Rows(want->database) != Rows(got->database)) {
     return "transactions differ";
   }
   return "";

@@ -419,7 +419,7 @@ TEST(CsrGraphDifferentialTest, RandomGraphsMatchReferenceAdjacency) {
 
     EXPECT_EQ(graph->num_edges(), ref.num_edges) << "trial=" << trial;
     for (ItemId a = 0; a < n; ++a) {
-      BipartiteGraph::AdjacencyRow row = graph->items_of_anon(a);
+      const std::span<const ItemId> row = graph->items_of_anon(a);
       ASSERT_EQ(row.size(), ref.items_of_anon[a].size())
           << "trial=" << trial << " anon=" << a;
       EXPECT_TRUE(std::equal(row.begin(), row.end(),
@@ -427,7 +427,7 @@ TEST(CsrGraphDifferentialTest, RandomGraphsMatchReferenceAdjacency) {
       EXPECT_EQ(graph->anon_degree(a), ref.items_of_anon[a].size());
     }
     for (ItemId x = 0; x < n; ++x) {
-      BipartiteGraph::AdjacencyRow row = graph->anons_of_item(x);
+      const std::span<const ItemId> row = graph->anons_of_item(x);
       ASSERT_EQ(row.size(), ref.anons_of_item[x].size())
           << "trial=" << trial << " item=" << x;
       EXPECT_TRUE(std::equal(row.begin(), row.end(),

@@ -6,6 +6,7 @@
 #include "datagen/quest.h"
 #include "mining/itemset.h"
 #include "mining/miner.h"
+#include "test_rows.h"
 
 namespace anonsafe {
 namespace {
@@ -169,7 +170,7 @@ TEST(MinerTest, SupportsAreExact) {
   // Spot-check by brute force.
   for (const auto& fi : *result) {
     size_t count = 0;
-    for (const auto& txn : db.transactions()) {
+    for (const auto& txn : Rows(db)) {
       if (IsSubsetOf(fi.items, txn)) ++count;
     }
     EXPECT_EQ(fi.support, count) << ToString(fi);

@@ -15,6 +15,7 @@
 #include "graph/hopcroft_karp.h"
 #include "graph/permanent.h"
 #include "util/rng.h"
+#include "test_rows.h"
 
 namespace anonsafe {
 namespace {
@@ -347,7 +348,7 @@ TEST_P(ProfileRealizationTest, GeneratedSupportsEqualProfile) {
   for (ItemId x = 0; x < db->num_items(); ++x) {
     EXPECT_EQ(table->support(x), expected[x]);
   }
-  for (const auto& txn : db->transactions()) EXPECT_FALSE(txn.empty());
+  for (const auto& txn : Rows(*db)) EXPECT_FALSE(txn.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProfileRealizationTest,

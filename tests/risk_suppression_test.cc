@@ -8,6 +8,7 @@
 #include "defense/scheme.h"
 #include "defense/suppression.h"
 #include "util/rng.h"
+#include "test_rows.h"
 
 namespace anonsafe {
 namespace {
@@ -167,7 +168,7 @@ TEST(ApplySuppressionTest, RemovesItemsAndEmptyTransactions) {
   auto out = ApplySuppression(db, {1});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_transactions(), 2u);  // {1} vanished entirely
-  EXPECT_EQ(out->transaction(0), (Transaction{0}));
+  EXPECT_EQ(Row(*out, 0), (Transaction{0}));
   auto table = FrequencyTable::Compute(*out);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->support(1), 0u);
