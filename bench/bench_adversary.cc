@@ -15,9 +15,10 @@
 //      "probabilistic":  {...}, "exact_support": {...}},
 //    "bit_identical": true, "reps": 5}
 //
-// scripts/check_perf.sh writes the document to BENCH_adversary.json,
-// hard-gates on bit_identical, and gates the interval entry against the
-// BM_AssessRiskBisection/8192 baseline in bench/perf_baseline.json —
+// scripts/check_perf.py hard-gates this record on bit_identical, gates
+// the interval entry against the BM_AssessRiskBisection/8192 baseline
+// in bench/perf_baseline.json, and emits it, stamped, as
+// BENCH_adversary.json —
 // the default adversary now routes through the registry, and that
 // indirection must not tax the historical hot path. The non-default
 // entries are recorded informationally (vs_interval = overhead ratio).

@@ -2,11 +2,8 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <utility>
 
 #include "datagen/profile.h"
-#include "obs/export.h"
-#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace anonsafe {
@@ -77,29 +74,6 @@ void MaybeWriteCsv(const CsvWriter& csv, const std::string& name) {
     std::cout << "[csv written to " << path << "]\n";
   } else {
     std::cerr << "[csv write failed: " << st << "]\n";
-  }
-}
-
-std::string BenchJsonDir() {
-  const char* dir = std::getenv("ANONSAFE_BENCH_JSON_DIR");
-  return dir == nullptr ? std::string() : std::string(dir);
-}
-
-BenchTelemetry::BenchTelemetry(std::string name) : name_(std::move(name)) {
-  if (BenchJsonDir().empty()) return;
-  enabled_ = true;
-  obs::SetMetricsEnabled(true);
-  obs::MetricsRegistry::Global().Reset();
-}
-
-BenchTelemetry::~BenchTelemetry() {
-  if (!enabled_) return;
-  std::string path = BenchJsonDir() + "/BENCH_" + name_ + ".json";
-  Status st = obs::WriteMetricsFiles(obs::MetricsRegistry::Global(), path);
-  if (st.ok()) {
-    std::cout << "[metrics written to " << path << "]\n";
-  } else {
-    std::cerr << "[metrics write failed: " << st << "]\n";
   }
 }
 

@@ -54,29 +54,6 @@ Result<Dataset> MakeDataset(Benchmark b, double scale, bool with_database,
 /// and reports the path on stdout; otherwise does nothing.
 void MaybeWriteCsv(const CsvWriter& csv, const std::string& name);
 
-/// \brief Directory for machine-readable bench telemetry from the
-/// ANONSAFE_BENCH_JSON_DIR environment variable (empty when unset).
-std::string BenchJsonDir();
-
-/// \brief RAII bench telemetry: when ANONSAFE_BENCH_JSON_DIR is set, the
-/// constructor enables metrics and resets the process registry, and the
-/// destructor writes the registry (everything the instrumented analysis
-/// core recorded during the bench) to `<dir>/BENCH_<name>.json` plus a
-/// `.prom` sibling. Without the variable the bench runs untouched.
-class BenchTelemetry {
- public:
-  explicit BenchTelemetry(std::string name);
-  ~BenchTelemetry();
-  BenchTelemetry(const BenchTelemetry&) = delete;
-  BenchTelemetry& operator=(const BenchTelemetry&) = delete;
-
-  bool enabled() const { return enabled_; }
-
- private:
-  std::string name_;
-  bool enabled_ = false;
-};
-
 /// \brief Prints the standard bench banner (experiment id + provenance).
 void PrintBanner(const std::string& experiment, const std::string& title);
 

@@ -11,9 +11,9 @@
 //    "t1_ms": ..., "tN_ms": ..., "threads": N,
 //    "speedup": t1/tN, "bit_identical": true}
 //
-// scripts/check_perf.sh runs this binary, hard-gates on bit_identical
-// and a non-empty frontier, records the speedup informationally, and
-// writes the document to BENCH_defense.json. The sweep is
+// scripts/check_perf.py hard-gates this record on bit_identical and a
+// non-empty frontier, records the speedup informationally, and emits
+// it, stamped, as BENCH_defense.json. The sweep is
 // coarse-grained (one candidate = plan + apply + full risk estimate),
 // so the parallel win is expected but machine-dependent — the byte
 // identity is the invariant worth failing a build over.

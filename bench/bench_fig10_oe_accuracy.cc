@@ -15,7 +15,6 @@
 #include "bench_common.h"
 #include "core/oestimate.h"
 #include "core/simulated.h"
-#include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "util/table_printer.h"
 
@@ -25,7 +24,6 @@ using namespace anonsafe::bench;
 int main() {
   PrintBanner("E3 / Figure 10",
               "O-estimate vs average simulated estimate, full compliance");
-  BenchTelemetry telemetry("fig10_oe_accuracy");
   const double scale = GetScale();
   const bool simulate = SimulationEnabled();
   if (scale != 1.0) std::cout << "[ANONSAFE_SCALE=" << scale << "]\n";
@@ -60,10 +58,6 @@ int main() {
       std::cerr << oe.status() << "\n";
       return 1;
     }
-    obs::GaugeIf(
-        ("anonsafe_bench_fig10_oe_seconds_" + std::string(ds->spec.name))
-            .c_str(),
-        oe_seconds);
 
     double sim_mean = 0.0, sim_sd = 0.0;
     std::string within = "-";

@@ -9,7 +9,6 @@
 
 #include "bench_common.h"
 #include "core/recipe.h"
-#include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "util/table_printer.h"
 
@@ -18,13 +17,10 @@ using namespace anonsafe::bench;
 
 int main() {
   PrintBanner("E8 / Figure 8 recipe", "Assess-Risk on all six benchmarks");
-  BenchTelemetry telemetry("fig8_recipe");
   const double scale = GetScale();
   const size_t threads = GetThreads();
   if (scale != 1.0) std::cout << "[ANONSAFE_SCALE=" << scale << "]\n";
   if (threads != 1) std::cout << "[ANONSAFE_THREADS=" << threads << "]\n";
-  obs::GaugeIf("anonsafe_bench_fig8_threads",
-               static_cast<double>(threads));
 
   TablePrinter table({"Dataset", "n", "g", "delta_med", "interval OE",
                       "OE frac", "decision", "alpha_max", "secs"});
@@ -54,9 +50,6 @@ int main() {
       std::cerr << spec.name << ": " << result.status() << "\n";
       return 1;
     }
-    obs::GaugeIf(
-        ("anonsafe_bench_fig8_seconds_" + std::string(spec.name)).c_str(),
-        seconds);
     double oe_fraction =
         result->interval_oe / static_cast<double>(result->num_items);
     std::string alpha_cell =
@@ -131,9 +124,6 @@ int main() {
                     result->interval_oe == base_interval_oe;
       }
       double speedup = seconds > 0.0 ? base_seconds / seconds : 0.0;
-      obs::GaugeIf(("anonsafe_bench_fig8_scaling_seconds_t" +
-                    std::to_string(t)).c_str(),
-                   seconds);
       scaling.AddRow({TablePrinter::Fmt(t), TablePrinter::Fmt(seconds, 3),
                       TablePrinter::Fmt(speedup, 2),
                       identical ? "yes" : "NO (BUG)"});

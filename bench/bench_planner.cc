@@ -15,8 +15,9 @@
 //     provenance-tagged answer because every block is within the Ryser
 //     cutoff. BM_PlannerBeyondMonolithic is that acceptance instance.
 //
-// scripts/check_perf.sh --planner runs these and emits
-// BENCH_planner.json with the measured speedups.
+// scripts/check_perf.py gates the JSON these print on the planner's
+// exactness and emits the measured speedups, stamped, as
+// BENCH_planner.json.
 
 #include <benchmark/benchmark.h>
 

@@ -16,12 +16,12 @@
 // check of a mixed four-configuration grid against its sequential
 // single-request equivalents.
 //
-// Output is one JSON document on stdout; scripts/check_perf.sh runs
-// this binary, gates on it (>=1000 connections served with zero
-// errors; batch-of-16 < 3x a single request and bit-identical), and
-// writes the document to BENCH_serve.json. When loopback TCP is
-// unavailable (sandboxed builds), the TCP phase reports
-// "skipped": true and the gate passes vacuously.
+// Output is one raw JSON record on stdout; scripts/check_perf.py gates
+// on it (>=1000 connections served with zero errors; batch-of-16 < 3x a
+// single request and bit-identical) and emits it, stamped, as
+// BENCH_serve.json. When loopback TCP is unavailable (sandboxed
+// builds), the TCP phase reports "skipped": true and the load gates
+// pass vacuously.
 
 #include <arpa/inet.h>
 #include <errno.h>

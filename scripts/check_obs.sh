@@ -10,7 +10,8 @@
 #      silences it (level filtering works end to end),
 #   4. an invalid `--trace-format` is rejected,
 #   5. a `report` trace covers load and render: top-level
-#      `data.read_fimi` and `core.render` spans.
+#      `data.read_fimi` and `core.render` spans; with `--json`, stdout
+#      stays one JSON document when `--trace-out` is given.
 #
 # Usage:
 #   scripts/check_obs.sh [path/to/anonsafe]
@@ -137,5 +138,10 @@ roots = [s["name"] for s in spans if s["parent"] is None]
 assert roots[0] == "data.read_fimi", f"load is not the first span: {roots}"
 assert roots[-1] == "core.render", f"render is not the last span: {roots}"
 EOF
+# With --json, the trace-out notice goes to stderr: stdout is one document.
+"$CLI" report "$data" --json --trace-out="$report_spans" \
+  > "$workdir/report.json" || fail "report --json --trace-out failed"
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
+  "$workdir/report.json" || fail "report --json stdout is not one JSON value"
 
-echo "check_obs: OK (chrome + json traces valid; access log schema + level filtering; flag validation; report load + render spans)"
+echo "check_obs: OK (chrome + json traces valid; access log schema + level filtering; flag validation; report load + render spans; report --json stdout is pure)"

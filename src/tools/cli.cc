@@ -792,8 +792,9 @@ Status RunCli(const CliInvocation& cli, std::ostream& out) {
                                    trace_out_it->second + "'");
         }
       } else {
-        out << "trace: " << trace_out_it->second << " (" << trace_format
-            << ")\n";
+        // On stderr, so `--json` stdout stays one JSON document.
+        std::cerr << "trace: " << trace_out_it->second << " ("
+                  << trace_format << ")\n";
       }
     } else {
       out << rendered;

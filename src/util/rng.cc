@@ -50,9 +50,12 @@ uint64_t Rng::UniformUint64(uint64_t bound) {
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   assert(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
+  // Unsigned (two's-complement) arithmetic: `hi - lo` and `lo + r`
+  // overflow int64_t for wide spans but wrap to the right value here.
+  const uint64_t ulo = static_cast<uint64_t>(lo);
+  const uint64_t span = static_cast<uint64_t>(hi) - ulo + 1;
   if (span == 0) return static_cast<int64_t>(Next());  // full 64-bit range
-  return lo + static_cast<int64_t>(UniformUint64(span));
+  return static_cast<int64_t>(ulo + UniformUint64(span));
 }
 
 double Rng::UniformDouble() {

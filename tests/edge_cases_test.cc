@@ -92,6 +92,28 @@ TEST(RngEdgeTest, UniformIntFullSpan) {
   EXPECT_EQ(rng.UniformInt(42, 42), 42);
 }
 
+TEST(RngEdgeTest, UniformIntWideSpansMatchSignedFormula) {
+  // Spans wider than INT64_MAX used to overflow `hi - lo` or `lo + r`;
+  // every value must stay in range.
+  Rng rng(3);
+  for (int i = 0; i < 64; ++i) {
+    int64_t v = rng.UniformInt(INT64_MIN, INT64_MAX - 1);
+    EXPECT_LT(v, INT64_MAX);
+    v = rng.UniformInt(-2, INT64_MAX);
+    EXPECT_GE(v, -2);
+  }
+  // Where the signed formula does not overflow, the draws are the same.
+  Rng a(11), b(11);
+  const int64_t ranges[][2] = {{0, 9}, {-5, 5}, {-1000000007, 3}, {7, 7}};
+  for (int i = 0; i < 200; ++i) {
+    const auto& r = ranges[i % 4];
+    const uint64_t span = static_cast<uint64_t>(r[1] - r[0]) + 1;
+    EXPECT_EQ(a.UniformInt(r[0], r[1]),
+              r[0] + static_cast<int64_t>(b.UniformUint64(span)));
+  }
+  EXPECT_EQ(a.Next(), b.Next());
+}
+
 TEST(SamplerEdgeTest, EffectiveBurnInScaling) {
   SamplerOptions opt;
   opt.burn_in_sweeps = 300;
