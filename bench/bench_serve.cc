@@ -10,15 +10,16 @@
 // p50/p95/p99/max and aggregate requests-per-second.
 //
 // A second, in-process phase measures the batch amortization claim:
-// interleaved medians of a single `assess_risk` vs a 16-item
+// 40 interleaved repetitions each of a single `assess_risk` and a 16-item
 // `assess_risk_batch` whose items repeat one configuration (the
 // sweep shape the intra-batch memo amortizes), plus a bit-identity
 // check of a mixed four-configuration grid against its sequential
 // single-request equivalents.
 //
 // Output is one raw JSON record on stdout; scripts/check_perf.py gates
-// on it (>=1000 connections served with zero errors; batch-of-16 < 3x a
-// single request and bit-identical) and emits it, stamped, as
+// on it (>=1000 connections served with zero errors; the fastest
+// batch-of-16 < 3x the fastest single request, and bit-identical) and
+// emits it, stamped, as
 // BENCH_serve.json. When loopback TCP is unavailable (sandboxed
 // builds), the TCP phase reports "skipped": true and the load gates
 // pass vacuously.
@@ -108,11 +109,6 @@ double Percentile(std::vector<double>& sorted, double p) {
   size_t index = static_cast<size_t>(p * static_cast<double>(n));
   if (index >= n) index = n - 1;
   return sorted[index];
-}
-
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return Percentile(values, 0.5);
 }
 
 /// Raises RLIMIT_NOFILE toward its hard cap; the harness needs roughly
@@ -315,9 +311,10 @@ LoadResult RunLoadPhase(uint16_t port, const std::string& request,
 // ------------------------------------------------------------- batch phase
 
 struct BatchResult {
-  double single_ms = 0.0;
-  double batch16_ms = 0.0;
-  double ratio = 0.0;
+  /// Round-trip times of the interleaved repetitions, in run order; the
+  /// gate reads the fastest of each side.
+  std::vector<double> single_ms;
+  std::vector<double> batch16_ms;
   bool bit_identical = false;
 };
 
@@ -351,7 +348,6 @@ BatchResult RunBatchPhase(Server& server, const std::string& key) {
   // equally instead of skewing the ratio.
   constexpr int kWarmup = 3;
   constexpr int kReps = 40;
-  std::vector<double> single_ms, batch_ms;
   for (int i = 0; i < kWarmup + kReps; ++i) {
     Clock::time_point t0 = Clock::now();
     json::Value response = Send(server, single_request);
@@ -362,13 +358,10 @@ BatchResult RunBatchPhase(Server& server, const std::string& key) {
     if (!IsOk(response)) std::exit(1);
     const double b = MillisSince(t0);
     if (i >= kWarmup) {
-      single_ms.push_back(s);
-      batch_ms.push_back(b);
+      out.single_ms.push_back(s);
+      out.batch16_ms.push_back(b);
     }
   }
-  out.single_ms = Median(single_ms);
-  out.batch16_ms = Median(batch_ms);
-  out.ratio = out.single_ms > 0.0 ? out.batch16_ms / out.single_ms : 0.0;
 
   // Bit-identity runs on a mixed grid (four distinct configurations,
   // untimed): every batch item vs its sequential single equivalent.
@@ -513,9 +506,12 @@ int Run(int argc, char** argv) {
   batch_doc.Set("timed_distinct_items", json::Value(static_cast<int64_t>(1)));
   batch_doc.Set("identity_distinct_items",
                 json::Value(static_cast<int64_t>(4)));
-  batch_doc.Set("single_ms", json::Value(batch.single_ms));
-  batch_doc.Set("batch16_ms", json::Value(batch.batch16_ms));
-  batch_doc.Set("ratio_vs_single", json::Value(batch.ratio));
+  json::Value single_reps = json::Value::Array();
+  for (double ms : batch.single_ms) single_reps.Append(json::Value(ms));
+  json::Value batch_reps = json::Value::Array();
+  for (double ms : batch.batch16_ms) batch_reps.Append(json::Value(ms));
+  batch_doc.Set("single_reps_ms", std::move(single_reps));
+  batch_doc.Set("batch16_reps_ms", std::move(batch_reps));
   batch_doc.Set("bit_identical", json::Value(batch.bit_identical));
   doc.Set("batch", batch_doc);
   std::printf("%s\n", doc.Dump().c_str());

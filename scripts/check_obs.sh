@@ -11,7 +11,13 @@
 #   4. an invalid `--trace-format` is rejected,
 #   5. a `report` trace covers load and render: top-level
 #      `data.read_fimi` and `core.render` spans; with `--json`, stdout
-#      stays one JSON document when `--trace-out` is given.
+#      stays one JSON document when `--trace-out` or `--metrics-out` is
+#      given,
+#   6. a `recommend-defense` trace accounts for >= 90% of the sweep: at
+#      one thread, the spans under `defense.recommend` (and under its
+#      per-candidate `exec.chunk` wrappers) — `defense.index`,
+#      `defense.plan`, `defense.apply` and the estimator's — add up to
+#      at least 0.9 of its duration on the CONNECT stand-in at x0.2.
 #
 # Usage:
 #   scripts/check_obs.sh [path/to/anonsafe]
@@ -143,5 +149,35 @@ EOF
   > "$workdir/report.json" || fail "report --json --trace-out failed"
 python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
   "$workdir/report.json" || fail "report --json stdout is not one JSON value"
+# So does the metrics-out notice.
+"$CLI" report "$data" --json --metrics-out="$workdir/metrics.json" \
+  > "$workdir/report.json" || fail "report --json --metrics-out failed"
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
+  "$workdir/report.json" \
+  || fail "report --json --metrics-out stdout is not one JSON value"
 
-echo "check_obs: OK (chrome + json traces valid; access log schema + level filtering; flag validation; report load + render spans; report --json stdout is pure)"
+# --- 6. Defense sweep trace covers the sweep ---------------------------
+connect="$workdir/connect.dat"
+"$CLI" generate CONNECT "$connect" --scale=0.2 --seed=1 > /dev/null \
+  || fail "generate CONNECT failed"
+sweep_spans="$workdir/sweep_spans.json"
+"$CLI" recommend-defense "$connect" --threads=1 --trace-format=json \
+  --trace-out="$sweep_spans" > /dev/null 2>&1 \
+  || fail "recommend-defense with --trace-out failed"
+python3 - "$sweep_spans" <<'EOF' || fail "recommend-defense trace covers too little"
+import json, sys
+spans = json.load(open(sys.argv[1]))
+root = next(i for i, s in enumerate(spans) if s["name"] == "defense.recommend")
+chunks = {i for i, s in enumerate(spans)
+          if s["parent"] == root and s["name"] == "exec.chunk"}
+work = [s for s in spans if s["name"] != "exec.chunk" and
+        (s["parent"] == root or s["parent"] in chunks)]
+names = {s["name"] for s in work}
+for want in ("defense.index", "defense.plan", "defense.apply"):
+    assert want in names, f"missing {want} span: {sorted(names)}"
+covered = sum(s["duration_seconds"] for s in work)
+share = covered / spans[root]["duration_seconds"]
+assert share >= 0.9, f"spans cover {share:.1%} of defense.recommend"
+EOF
+
+echo "check_obs: OK (chrome + json traces valid; access log schema + level filtering; flag validation; report load + render spans; report --json stdout is pure; defense sweep trace covers >= 90%)"

@@ -14,7 +14,8 @@ the end and lists all the failures.
   isa sweep  BM_Permanent/24 under each ANONSAFE_FORCE_ISA tier
              (informational, into BENCH_kernels.json).
   serve      >= 1000 connections, no errors (unless loopback TCP is
-             unavailable); a batch of 16 < 3x one call, bit-identical.
+             unavailable); a batch of 16 < 3x one call (fastest of the
+             interleaved repetitions of each), bit-identical.
   defense    1 vs N > 1 threads byte-identical; frontier non-empty and
              with a feasible candidate.
   adversary  bit-identical across threads; interval within 1.5x of the
@@ -210,8 +211,17 @@ def gate_serve(raw):
                             "(expected >= 1000)")
         if raw["errors"] != 0:
             failures.append(f"{raw['errors']} request errors under load")
-    b = raw["batch"]  # in-process, so it gates even without TCP
-    say(f"serve batch: {b}")
+    # In-process, so it gates even without TCP. Each side is timed over
+    # interleaved repetitions; a shared host only adds time, so the
+    # fastest repetition of each side is the stable statistic (as for
+    # the kernels).
+    b = raw["batch"]
+    b["single_ms"] = min(b["single_reps_ms"])
+    b["batch16_ms"] = min(b["batch16_reps_ms"])
+    b["ratio_vs_single"] = b["batch16_ms"] / b["single_ms"]
+    say(f"serve batch: fastest of {len(b['single_reps_ms'])} repetitions: "
+        f"single {b['single_ms']:.3f} ms, batch-of-16 {b['batch16_ms']:.3f} "
+        f"ms, ratio {b['ratio_vs_single']:.2f}x")
     if b["ratio_vs_single"] >= 3.0:
         failures.append(f"batch-of-16 is {b['ratio_vs_single']:.2f}x a "
                         "single assess_risk (gate: < 3x)")

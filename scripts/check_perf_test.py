@@ -42,7 +42,8 @@ def bench(run_name, cpu_time, **counters):
 KERNELS = kernel_raw({"BM_Permanent/24": 100.0, "BM_GraphBuildHK/4096": 100.0})
 SERVE = {"skipped": False, "connections": 1024, "errors": 0, "rps": 5000.0,
          "latency": {"p50_ms": 1.0},
-         "batch": {"ratio_vs_single": 2.0, "bit_identical": True}}
+         "batch": {"single_reps_ms": [1.0, 0.5, 0.9],
+                   "batch16_reps_ms": [1.3, 1.0, 2.9], "bit_identical": True}}
 DEFENSE = {"threads": 8, "bit_identical": True, "frontier_size": 18,
            "feasible": 18}
 ADVERSARY = {"adversaries": {"interval": {"median_ms": 40.0}},
@@ -109,7 +110,7 @@ class SectionGateTest(unittest.TestCase):
         "serve": (check_perf.gate_serve, SERVE, (), [
             lambda r: r.update(connections=999),
             lambda r: r.update(errors=1),
-            lambda r: r["batch"].update(ratio_vs_single=3.0),
+            lambda r: r["batch"].update(batch16_reps_ms=[3.1, 1.5, 4.0]),
             lambda r: r["batch"].update(bit_identical=False)]),
         "defense": (check_perf.gate_defense, DEFENSE, (), [
             lambda r: r.update(threads=1),
@@ -134,6 +135,13 @@ class SectionGateTest(unittest.TestCase):
         # Load gates are vacuous without TCP; 1.5x is the adversary bound.
         self.assertEqual(failures(check_perf.gate_serve, doctored(
             SERVE, lambda r: r.update(skipped=True, errors=3))), [])
+        # The batch ratio is fastest over fastest: slow repetitions (a
+        # median of 8x here) do not fail it, and the ratio is recorded.
+        noisy = doctored(SERVE, lambda r: r["batch"].update(
+            single_reps_ms=[0.5] * 3, batch16_reps_ms=[1.4, 4.0, 4.0]))
+        self.assertEqual(failures(check_perf.gate_serve, noisy), [])
+        self.assertAlmostEqual(noisy["batch"]["ratio_vs_single"], 2.8)
+        self.assertEqual(noisy["batch"]["batch16_ms"], 1.4)
         self.assertEqual(failures(check_perf.gate_adversary, doctored(
             ADVERSARY, lambda r: r["adversaries"]["interval"].update(
                 median_ms=59.0)), BASELINE), [])

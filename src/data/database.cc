@@ -55,6 +55,51 @@ std::string Database::DebugString() const {
   return oss.str();
 }
 
+ItemIndex ItemIndex::Build(const Database& db) {
+  assert(db.num_transactions() <= UINT32_MAX);
+  const size_t n = db.num_items();
+  const size_t m = db.num_transactions();
+  ItemIndex index;
+  index.first_.assign(n + 1, 0);
+  index.row_sizes_.resize(m);
+  for (size_t t = 0; t < m; ++t) {
+    const std::span<const ItemId> row = db.transaction(t);
+    index.row_sizes_[t] = static_cast<RowId>(row.size());
+    for (ItemId x : row) ++index.first_[x + 1];
+  }
+  for (size_t x = 0; x < n; ++x) index.first_[x + 1] += index.first_[x];
+  // Filling rows in ascending order keeps every holders list ascending.
+  std::vector<size_t> next(index.first_.begin(), index.first_.end() - 1);
+  index.rows_.resize(db.TotalSize());
+  for (size_t t = 0; t < m; ++t) {
+    for (ItemId x : db.transaction(t)) {
+      index.rows_[next[x]++] = static_cast<RowId>(t);
+    }
+  }
+  return index;
+}
+
+std::vector<SupportCount> ItemIndex::Supports() const {
+  std::vector<SupportCount> supports(num_items());
+  for (ItemId x = 0; x < num_items(); ++x) supports[x] = support(x);
+  return supports;
+}
+
+std::vector<ItemIndex::RowId> ItemIndex::NonHolders(ItemId item) const {
+  const std::span<const RowId> held = holders(item);
+  std::vector<RowId> others;
+  others.reserve(num_transactions() - held.size());
+  auto h = held.begin();
+  for (size_t t = 0; t < num_transactions(); ++t) {
+    if (h != held.end() && *h == t) {
+      ++h;
+    } else {
+      others.push_back(static_cast<RowId>(t));
+    }
+  }
+  return others;
+}
+
 Result<Database> ConcatDatabases(
     const std::vector<const Database*>& parts) {
   if (parts.empty()) {

@@ -2,6 +2,7 @@
 #define ANONSAFE_DATA_DATABASE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,6 +79,48 @@ class Database {
   size_t num_items_;
   std::vector<size_t> offsets_{0};  // num_transactions() + 1 entries
   std::vector<ItemId> items_;
+};
+
+/// \brief The item → rows transpose of a `Database`, in CSR: row x lists
+/// the transactions holding item x, ascending, and the row sizes ride
+/// along. Built in one pass over the rows; read-only afterwards, so one
+/// index can serve any number of concurrent readers.
+class ItemIndex {
+ public:
+  /// Transaction ids fit 32 bits, which halves the index.
+  using RowId = uint32_t;
+
+  /// \brief Transposes `db` (O(occurrences)). Requires fewer than 2^32
+  /// transactions.
+  static ItemIndex Build(const Database& db);
+
+  size_t num_items() const { return first_.size() - 1; }
+  size_t num_transactions() const { return row_sizes_.size(); }
+
+  /// \brief The transactions holding `item`, ascending.
+  std::span<const RowId> holders(ItemId item) const {
+    return {rows_.data() + first_[item], rows_.data() + first_[item + 1]};
+  }
+
+  /// \brief Number of transactions holding `item`.
+  SupportCount support(ItemId item) const {
+    return first_[item + 1] - first_[item];
+  }
+
+  /// \brief Every item's support, in id order.
+  std::vector<SupportCount> Supports() const;
+
+  /// \brief The transactions not holding `item`, ascending (the
+  /// complement of `holders(item)` in `[0, num_transactions())`).
+  std::vector<RowId> NonHolders(ItemId item) const;
+
+  /// \brief Number of items in transaction `t`.
+  size_t row_size(size_t t) const { return row_sizes_[t]; }
+
+ private:
+  std::vector<size_t> first_{0};  // num_items() + 1 entries
+  std::vector<RowId> rows_;
+  std::vector<RowId> row_sizes_;  // num_transactions() entries
 };
 
 /// \brief Pools several databases over one shared item domain — the

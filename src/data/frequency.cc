@@ -6,21 +6,18 @@
 namespace anonsafe {
 
 Result<FrequencyTable> FrequencyTable::Compute(const Database& db) {
-  if (db.num_transactions() == 0) {
-    return Status::InvalidArgument(
-        "cannot compute frequencies of an empty database");
-  }
   std::vector<SupportCount> supports(db.num_items(), 0);
   for (size_t t = 0; t < db.num_transactions(); ++t) {
     for (ItemId x : db.transaction(t)) supports[x] += 1;
   }
-  return FrequencyTable(std::move(supports), db.num_transactions());
+  return FromSupports(std::move(supports), db.num_transactions());
 }
 
 Result<FrequencyTable> FrequencyTable::FromSupports(
     std::vector<SupportCount> supports, size_t num_transactions) {
   if (num_transactions == 0) {
-    return Status::InvalidArgument("num_transactions must be positive");
+    return Status::InvalidArgument(
+        "cannot compute frequencies of an empty database");
   }
   for (SupportCount s : supports) {
     if (s > num_transactions) {

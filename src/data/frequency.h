@@ -37,8 +37,10 @@ class FrequencyTable {
 
   const std::vector<SupportCount>& supports() const { return supports_; }
 
-  /// \brief Constructs a table directly from supports (used by generators
-  /// and tests that do not need a materialized database).
+  /// \brief Constructs a table directly from supports (used by generators,
+  /// tests and the defense sweep, which need no materialized database).
+  /// Fails as `Compute` does on an empty database, and when a support
+  /// exceeds `num_transactions`.
   static Result<FrequencyTable> FromSupports(
       std::vector<SupportCount> supports, size_t num_transactions);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
-#include <numeric>
 #include <string>
 
 #include "defense/scheme.h"
@@ -155,73 +153,62 @@ Result<defense::DefensePlan> ToleranceSearchPlan(const FrequencyTable& table,
 
 }  // namespace
 
-Result<Database> ApplySupportChanges(
-    const Database& db, const std::vector<SupportCount>& new_supports,
+Result<defense::DefenseEdits> DecideSupportChanges(
+    const ItemIndex& index, const std::vector<SupportCount>& new_supports,
     Rng* rng) {
-  if (new_supports.size() != db.num_items()) {
+  using RowId = ItemIndex::RowId;
+  const size_t n = index.num_items();
+  const size_t m = index.num_transactions();
+  if (new_supports.size() != n) {
     return Status::InvalidArgument("support vector size mismatch");
   }
-  const size_t m = db.num_transactions();
   for (SupportCount s : new_supports) {
     if (s > m) {
       return Status::InvalidArgument(
           "target support exceeds the number of transactions");
     }
   }
-
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(db));
+                            FrequencyTable::FromSupports(index.Supports(), m));
 
   // Edits are chosen item by item against the input rows: x's holders
   // are still the input rows holding x, because edits for earlier items
   // never touch x. Only the row sizes move, and the removal rule reads
-  // them. An edit of row t for item x toggles x in row t; x's edits are
-  // edit_rows[edit_first[x], edit_first[x+1]).
-  const size_t n = db.num_items();
+  // them.
   std::vector<size_t> sizes(m);
-  for (size_t t = 0; t < m; ++t) sizes[t] = db.transaction(t).size();
-  std::vector<size_t> edit_first(n + 1, 0);
+  for (size_t t = 0; t < m; ++t) sizes[t] = index.row_size(t);
+  defense::DefenseEdits edits;
+  edits.first.resize(n + 1, 0);
   for (ItemId x = 0; x < n; ++x) {
     const SupportCount current = table.support(x);
     const SupportCount target = new_supports[x];
-    edit_first[x + 1] = edit_first[x] +
-                        (target > current ? target - current : current - target);
+    edits.first[x + 1] = edits.first[x] + (target > current ? target - current
+                                                            : current - target);
   }
-  std::vector<size_t> edit_rows;
-  edit_rows.reserve(edit_first[n]);
+  edits.rows.reserve(edits.first[n]);
   for (ItemId x = 0; x < n; ++x) {
     const SupportCount current = table.support(x);
     const SupportCount target = new_supports[x];
     if (current == target) continue;
 
-    // Locate holders / non-holders once per changed item.
-    std::vector<size_t> holders, others;
-    for (size_t t = 0; t < m; ++t) {
-      if (db.Contains(t, x)) {
-        holders.push_back(t);
-      } else {
-        others.push_back(t);
-      }
-    }
-
     if (target > current) {
-      size_t need = target - current;
+      const size_t need = target - current;
+      std::vector<RowId> others = index.NonHolders(x);
       rng->Shuffle(&others);
-      if (others.size() < need) {
-        return Status::Internal("support accounting out of sync");
-      }
       for (size_t i = 0; i < need; ++i) {
-        edit_rows.push_back(others[i]);
+        edits.rows.push_back(others[i]);
         ++sizes[others[i]];
       }
     } else {
-      size_t need = current - target;
+      const size_t need = current - target;
+      const std::span<const RowId> held = index.holders(x);
+      std::vector<RowId> holders(held.begin(), held.end());
       rng->Shuffle(&holders);
       size_t removed = 0;
-      for (size_t t : holders) {
+      for (RowId t : holders) {
         if (removed == need) break;
         if (sizes[t] <= 1) continue;  // never empty a transaction
-        edit_rows.push_back(t);
+        edits.rows.push_back(t);
         --sizes[t];
         ++removed;
       }
@@ -232,33 +219,18 @@ Result<Database> ApplySupportChanges(
       }
     }
   }
+  edits.supports = new_supports;
+  edits.num_transactions = m;
+  return edits;
+}
 
-  // Regroup the edits by row (a counting sort): row t's toggled items
-  // end up ascending in toggled[first[t], first[t+1]).
-  std::vector<size_t> first(m + 1, 0);
-  for (size_t t : edit_rows) ++first[t];
-  std::partial_sum(first.begin(), first.end(), first.begin());
-  std::vector<ItemId> toggled(edit_rows.size());
-  for (ItemId x = n; x-- > 0;) {
-    for (size_t e = edit_first[x]; e < edit_first[x + 1]; ++e) {
-      toggled[--first[edit_rows[e]]] = x;
-    }
-  }
-
-  Database out(n);
-  out.Reserve(m, std::accumulate(new_supports.begin(), new_supports.end(),
-                                 size_t{0}));
-  Transaction row;
-  for (size_t t = 0; t < m; ++t) {
-    const std::span<const ItemId> in = db.transaction(t);
-    row.clear();
-    std::set_symmetric_difference(in.begin(), in.end(),
-                                  toggled.begin() + first[t],
-                                  toggled.begin() + first[t + 1],
-                                  std::back_inserter(row));
-    out.AddTransactionUnchecked(row);
-  }
-  return out;
+Result<Database> ApplySupportChanges(
+    const Database& db, const std::vector<SupportCount>& new_supports,
+    Rng* rng) {
+  ANONSAFE_ASSIGN_OR_RETURN(
+      defense::DefenseEdits edits,
+      DecideSupportChanges(ItemIndex::Build(db), new_supports, rng));
+  return defense::WriteEdits(db, edits);
 }
 
 namespace defense {
@@ -326,13 +298,10 @@ class GroupMergeScheme final : public DefenseScheme {
     return plan;
   }
 
-  Result<Database> Apply(const Database& db, const DefensePlan& plan,
-                         Rng* rng) const override {
-    if (plan.scheme != name()) {
-      return Status::InvalidArgument("plan was produced by scheme '" +
-                                     plan.scheme + "', not '" + name() + "'");
-    }
-    return ApplySupportChanges(db, plan.new_supports, rng);
+  Result<DefenseEdits> DecideEdits(const ItemIndex& index,
+                                   const DefensePlan& plan,
+                                   Rng* rng) const override {
+    return DecideSupportChanges(index, plan.new_supports, rng);
   }
 };
 

@@ -5,6 +5,7 @@
 
 #include "data/database.h"
 #include "data/frequency.h"
+#include "defense/scheme.h"
 #include "util/result.h"
 #include "util/rng.h"
 
@@ -25,16 +26,27 @@ namespace anonsafe {
 /// The planning entry point is the "group_merge" scheme of the
 /// `defense::DefenseScheme` registry (defense/scheme.h): Plan with
 /// {gap} for a fixed gap threshold, {tolerance, point_valued, iters}
-/// for the tolerance-driven bisection. This header keeps only the
-/// database-level applicator the scheme's Apply delegates to.
+/// for the tolerance-driven bisection. This header keeps the edit
+/// decision the scheme's Decide delegates to, and its database-level
+/// applicator.
 
-/// \brief Applies a support change to a concrete database: items gain
-/// occurrences in random transactions that lack them and lose occurrences
-/// from random transactions that hold them (never emptying a
-/// transaction). The resulting database realizes `new_supports` exactly.
+/// \brief Decides a support change on the database `index` transposes:
+/// items gain occurrences in random transactions that lack them and lose
+/// occurrences from random transactions that hold them (never emptying a
+/// transaction). Items are visited in id order; each shuffles its
+/// non-holders (to gain) or holders (to lose), ascending before the
+/// shuffle, and takes the first it may edit. The edits realize
+/// `new_supports` exactly and keep every transaction.
 ///
-/// Fails with InvalidArgument on size mismatch or unrealizable targets
-/// (support > m, or removals that would empty every holder).
+/// Fails with InvalidArgument on size mismatch, an empty database, or
+/// unrealizable targets (support > m, or removals that would empty every
+/// holder).
+Result<defense::DefenseEdits> DecideSupportChanges(
+    const ItemIndex& index, const std::vector<SupportCount>& new_supports,
+    Rng* rng);
+
+/// \brief `DecideSupportChanges` on `db`'s index, then the row writer:
+/// the defended database itself. Same errors.
 Result<Database> ApplySupportChanges(
     const Database& db, const std::vector<SupportCount>& new_supports,
     Rng* rng);

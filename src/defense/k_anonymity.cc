@@ -126,13 +126,10 @@ class KAnonymityScheme final : public DefenseScheme {
     return plan;
   }
 
-  Result<Database> Apply(const Database& db, const DefensePlan& plan,
-                         Rng* rng) const override {
-    if (plan.scheme != name()) {
-      return Status::InvalidArgument("plan was produced by scheme '" +
-                                     plan.scheme + "', not '" + name() + "'");
-    }
-    return ApplySupportChanges(db, plan.new_supports, rng);
+  Result<DefenseEdits> DecideEdits(const ItemIndex& index,
+                                   const DefensePlan& plan,
+                                   Rng* rng) const override {
+    return DecideSupportChanges(index, plan.new_supports, rng);
   }
 };
 

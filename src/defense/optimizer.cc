@@ -129,6 +129,12 @@ Result<DefenseFrontier> RecommendDefense(const Database& db,
 
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable before,
                             FrequencyTable::Compute(db));
+  // One transpose for the whole sweep, shared read-only by every
+  // candidate's edit decision.
+  const ItemIndex index = [&] {
+    obs::ScopedTimer span("defense.index");
+    return ItemIndex::Build(db);
+  }();
 
   DefenseFrontier result;
   result.num_items = before.num_items();
@@ -162,9 +168,11 @@ Result<DefenseFrontier> RecommendDefense(const Database& db,
   }
 
   // Score candidates in parallel, one per chunk, into fixed slots.
-  // RNG streams are a function of the candidate index alone (Apply
-  // draws stream 2i+2, sampler fallbacks stream 2i+3), so the sweep is
-  // bit-identical at any thread count.
+  // RNG streams are a function of the candidate index alone (the edit
+  // decision draws stream 2i+2, sampler fallbacks stream 2i+3), so the
+  // sweep is bit-identical at any thread count. Risk and utility read
+  // only the defended supports and transaction count, which the edit
+  // decision returns: no defended row is ever written.
   result.candidates.resize(pending.size());
   Status status = exec::ParallelForChunks(
       ctx, pending.size(), /*grain=*/1,
@@ -177,7 +185,10 @@ Result<DefenseFrontier> RecommendDefense(const Database& db,
           score.scheme = cand.scheme->name();
           score.params = cand.params;
 
-          Result<DefensePlan> plan = cand.scheme->Plan(before, cand.params);
+          Result<DefensePlan> plan = [&] {
+            obs::ScopedTimer span("defense.plan");
+            return cand.scheme->Plan(before, cand.params);
+          }();
           if (!plan.ok()) {
             if (plan.status().code() == StatusCode::kFailedPrecondition) {
               score.reason = plan.status().message();
@@ -185,14 +196,17 @@ Result<DefenseFrontier> RecommendDefense(const Database& db,
             }
             return plan.status();
           }
-          Rng apply_rng(exec::SplitSeed(seed, 2 * i + 2));
-          Result<Database> defended =
-              cand.scheme->Apply(db, *plan, &apply_rng);
-          if (!defended.ok()) {
-            score.reason = defended.status().message();
+          Result<DefenseEdits> edits = [&] {
+            obs::ScopedTimer span("defense.apply");
+            Rng apply_rng(exec::SplitSeed(seed, 2 * i + 2));
+            return cand.scheme->Decide(index, *plan, &apply_rng);
+          }();
+          if (!edits.ok()) {
+            score.reason = edits.status().message();
             continue;  // unrealizable on this concrete database
           }
-          Result<FrequencyTable> after = FrequencyTable::Compute(*defended);
+          Result<FrequencyTable> after = FrequencyTable::FromSupports(
+              std::move(edits->supports), edits->num_transactions);
           if (!after.ok()) {
             score.reason = after.status().message();
             continue;  // defense emptied the database

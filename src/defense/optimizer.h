@@ -22,7 +22,7 @@ struct OptimizerOptions {
   /// seed inside is overridden per candidate (SplitSeed stream 2i+3) so
   /// fallback estimates are independent of evaluation order.
   PlannerOptions planner;
-  /// Master seed for the per-candidate Apply RNG and the sampler
+  /// Master seed for the per-candidate edit-decision RNG and the sampler
   /// streams. Superseded by `ctx->seed()` when a context is passed.
   uint64_t seed = 7;
 };
@@ -40,7 +40,7 @@ struct CandidateScore {
   std::string scheme;      ///< registry name
   DefenseParams params;
 
-  /// False when Plan/Apply reported the setting unreachable
+  /// False when Plan or the edit decision reported the setting unreachable
   /// (FailedPrecondition etc.); `reason` carries the message.
   bool feasible = false;
   std::string reason;
@@ -88,8 +88,10 @@ struct DefenseFrontier {
 };
 
 /// \brief The sweep: enumerates every registered scheme's `ParamSpace`,
-/// plans + applies + scores each candidate (expected cracks via the
-/// estimator planner, information loss via `ComputeUtilityLoss`), and
+/// plans each candidate, decides its edits on one item index shared by
+/// the whole sweep (`DefenseScheme::Decide`), scores the resulting
+/// supports (expected cracks via the estimator planner, information loss
+/// via `ComputeUtilityLoss`) without writing the defended database, and
 /// extracts the Pareto frontier. Candidates evaluate in parallel on
 /// `ctx`; the frontier is bit-identical at any thread count. Returns
 /// Cancelled when `ctx` is cancelled mid-sweep.

@@ -1,6 +1,8 @@
 #include "defense/scheme.h"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 
 namespace anonsafe {
 namespace defense {
@@ -82,6 +84,56 @@ json::Value DefensePlan::ToJson() const {
   obj.Set("oe_after", json::Value(oe_after));
   obj.Set("occurrence_loss", json::Value(occurrence_loss));
   return obj;
+}
+
+Database WriteEdits(const Database& db, const DefenseEdits& edits) {
+  // Regroup the edits by row (a counting sort): row t's toggled items
+  // end up ascending in toggled[first[t], first[t+1]).
+  const size_t n = edits.first.size() - 1;
+  const size_t m = db.num_transactions();
+  std::vector<size_t> first(m + 1, 0);
+  for (ItemIndex::RowId t : edits.rows) ++first[t];
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<ItemId> toggled(edits.rows.size());
+  for (ItemId x = n; x-- > 0;) {
+    for (size_t e = edits.first[x]; e < edits.first[x + 1]; ++e) {
+      toggled[--first[edits.rows[e]]] = x;
+    }
+  }
+
+  Database out(db.num_items());
+  out.Reserve(edits.num_transactions,
+              std::accumulate(edits.supports.begin(), edits.supports.end(),
+                              size_t{0}));
+  Transaction row;
+  for (size_t t = 0; t < m; ++t) {
+    const std::span<const ItemId> in = db.transaction(t);
+    row.clear();
+    std::set_symmetric_difference(in.begin(), in.end(),
+                                  toggled.begin() + first[t],
+                                  toggled.begin() + first[t + 1],
+                                  std::back_inserter(row));
+    if (!row.empty()) out.AddTransactionUnchecked(row);
+  }
+  return out;
+}
+
+Result<DefenseEdits> DefenseScheme::Decide(const ItemIndex& index,
+                                           const DefensePlan& plan,
+                                           Rng* rng) const {
+  if (plan.scheme != name()) {
+    return Status::InvalidArgument("plan was produced by scheme '" +
+                                   plan.scheme + "', not '" + name() + "'");
+  }
+  return DecideEdits(index, plan, rng);
+}
+
+Result<Database> DefenseScheme::Apply(const Database& db,
+                                      const DefensePlan& plan,
+                                      Rng* rng) const {
+  ANONSAFE_ASSIGN_OR_RETURN(DefenseEdits edits,
+                            Decide(ItemIndex::Build(db), plan, rng));
+  return WriteEdits(db, edits);
 }
 
 const std::vector<const DefenseScheme*>& DefenseScheme::All() {

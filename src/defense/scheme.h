@@ -88,6 +88,24 @@ struct DefensePlan {
   json::Value ToJson() const;
 };
 
+/// \brief What a plan does to one concrete database, decided without
+/// writing a row: item x is toggled in the transactions
+/// `rows[first[x], first[x+1])` (added where absent, removed where
+/// present), and the transactions the toggles leave empty are dropped.
+/// `supports` and `num_transactions` describe the defended database, so
+/// a caller that only counts never needs it written.
+struct DefenseEdits {
+  std::vector<size_t> first{0};  ///< num_items + 1 offsets into `rows`
+  std::vector<ItemIndex::RowId> rows;
+  std::vector<SupportCount> supports;  ///< per item, after the edits
+  size_t num_transactions = 0;         ///< transactions after the edits
+};
+
+/// \brief The row writer: `db` with `edits` applied — every row
+/// toggled, rows left empty dropped. `edits` must have been decided on
+/// `ItemIndex::Build(db)`.
+Database WriteEdits(const Database& db, const DefenseEdits& edits);
+
 /// \brief The polymorphic defense interface (the sbdprivacylib
 /// `Anonymization_scheme` shape): every defense is a named scheme that
 /// can enumerate a parameter grid for a given release, plan a defense
@@ -120,12 +138,21 @@ class DefenseScheme {
   virtual Result<DefensePlan> Plan(const FrequencyTable& table,
                                    const DefenseParams& params) const = 0;
 
-  /// \brief Realizes a plan on a concrete database. `rng` drives the
-  /// choice of transactions to edit for support-perturbation plans
-  /// (same seed, same database — deterministic); suppression plans
-  /// ignore it. The plan must have been produced by this scheme.
-  virtual Result<Database> Apply(const Database& db, const DefensePlan& plan,
-                                 Rng* rng) const = 0;
+  /// \brief The edit decision: which transactions a plan toggles on the
+  /// database `index` transposes, and the supports and transaction count
+  /// that result — without writing a row. `rng` drives the choice of
+  /// transactions for support-perturbation plans (same seed, same
+  /// database — deterministic); suppression plans ignore it.
+  /// InvalidArgument when the plan was produced by another scheme or
+  /// cannot be realized on this database. `index` is only read, so one
+  /// index serves concurrent decisions.
+  Result<DefenseEdits> Decide(const ItemIndex& index, const DefensePlan& plan,
+                              Rng* rng) const;
+
+  /// \brief Realizes a plan on a concrete database: `Decide` on the
+  /// database's index, then `WriteEdits`. Same errors as `Decide`.
+  Result<Database> Apply(const Database& db, const DefensePlan& plan,
+                         Rng* rng) const;
 
   /// \brief Every registered scheme, in fixed registry order
   /// (k_anonymity, group_merge, suppression). The instances are
@@ -134,6 +161,12 @@ class DefenseScheme {
 
   /// \brief Lookup by registry name; nullptr when unknown.
   static const DefenseScheme* Find(const std::string& name);
+
+ private:
+  /// `Decide` once the plan is known to be this scheme's.
+  virtual Result<DefenseEdits> DecideEdits(const ItemIndex& index,
+                                           const DefensePlan& plan,
+                                           Rng* rng) const = 0;
 };
 
 namespace internal {

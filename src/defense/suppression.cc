@@ -110,34 +110,44 @@ Result<defense::DefensePlan> PlanSuppressionCore(const FrequencyTable& table,
 
 }  // namespace
 
-Result<Database> ApplySuppression(const Database& db,
-                                  const std::vector<ItemId>& suppressed) {
-  std::vector<bool> drop(db.num_items(), false);
+Result<defense::DefenseEdits> DecideSuppression(
+    const ItemIndex& index, const std::vector<ItemId>& suppressed) {
+  const size_t n = index.num_items();
+  std::vector<bool> drop(n, false);
   for (ItemId x : suppressed) {
-    if (x >= db.num_items()) {
+    if (x >= n) {
       return Status::InvalidArgument("suppressed item outside domain");
     }
     drop[x] = true;
   }
-  size_t rows = 0, total = 0;
-  for (size_t t = 0; t < db.num_transactions(); ++t) {
-    const std::span<const ItemId> txn = db.transaction(t);
-    const auto kept = static_cast<size_t>(std::count_if(
-        txn.begin(), txn.end(), [&](ItemId x) { return !drop[x]; }));
-    total += kept;
-    rows += kept > 0 ? 1 : 0;
-  }
-  Database out(db.num_items());
-  out.Reserve(rows, total);
-  Transaction kept;
-  for (size_t t = 0; t < db.num_transactions(); ++t) {
-    kept.clear();
-    for (ItemId x : db.transaction(t)) {
-      if (!drop[x]) kept.push_back(x);
+  // Every holder of a dropped item loses it; a transaction that loses
+  // as many items as it holds is dropped.
+  defense::DefenseEdits edits;
+  edits.first.resize(n + 1, 0);
+  edits.supports = index.Supports();
+  std::vector<ItemIndex::RowId> lost(index.num_transactions(), 0);
+  for (ItemId x = 0; x < n; ++x) {
+    if (drop[x]) {
+      for (ItemIndex::RowId t : index.holders(x)) {
+        edits.rows.push_back(t);
+        ++lost[t];
+      }
+      edits.supports[x] = 0;
     }
-    if (!kept.empty()) out.AddTransactionUnchecked(kept);
+    edits.first[x + 1] = edits.rows.size();
   }
-  return out;
+  for (size_t t = 0; t < lost.size(); ++t) {
+    edits.num_transactions += lost[t] < index.row_size(t) ? 1 : 0;
+  }
+  return edits;
+}
+
+Result<Database> ApplySuppression(const Database& db,
+                                  const std::vector<ItemId>& suppressed) {
+  ANONSAFE_ASSIGN_OR_RETURN(
+      defense::DefenseEdits edits,
+      DecideSuppression(ItemIndex::Build(db), suppressed));
+  return defense::WriteEdits(db, edits);
 }
 
 namespace defense {
@@ -180,14 +190,10 @@ class SuppressionScheme final : public DefenseScheme {
   }
 
   /// Suppression is deterministic — `rng` is unused.
-  Result<Database> Apply(const Database& db, const DefensePlan& plan,
-                         Rng* rng) const override {
-    (void)rng;
-    if (plan.scheme != name()) {
-      return Status::InvalidArgument("plan was produced by scheme '" +
-                                     plan.scheme + "', not '" + name() + "'");
-    }
-    return ApplySuppression(db, plan.suppressed);
+  Result<DefenseEdits> DecideEdits(const ItemIndex& index,
+                                   const DefensePlan& plan,
+                                   Rng* /*rng*/) const override {
+    return DecideSuppression(index, plan.suppressed);
   }
 };
 

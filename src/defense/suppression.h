@@ -5,6 +5,7 @@
 
 #include "data/database.h"
 #include "data/frequency.h"
+#include "defense/scheme.h"
 #include "util/result.h"
 
 namespace anonsafe {
@@ -22,12 +23,20 @@ namespace anonsafe {
 /// Planning lives in the "suppression" scheme of the
 /// `defense::DefenseScheme` registry (defense/scheme.h): Plan with
 /// {tolerance, max_suppressed_fraction, rerank_batch}. This header keeps
-/// only the database-level applicator the scheme's Apply delegates to.
+/// the edit decision the scheme's Decide delegates to, and its
+/// database-level applicator.
 
-/// \brief Applies a suppression plan to a database: removes the items
-/// from every transaction and drops transactions that become empty. The
+/// \brief Decides a suppression on the database `index` transposes:
+/// each suppressed item is toggled off in all its holders, and the
+/// transactions left empty are dropped (counted from the row sizes). The
 /// domain keeps its size (suppressed items simply have support 0), so
-/// item ids remain stable.
+/// item ids remain stable. InvalidArgument for an item outside the
+/// domain.
+Result<defense::DefenseEdits> DecideSuppression(
+    const ItemIndex& index, const std::vector<ItemId>& suppressed);
+
+/// \brief `DecideSuppression` on `db`'s index, then the row writer: the
+/// defended database itself. Same errors.
 Result<Database> ApplySuppression(const Database& db,
                                   const std::vector<ItemId>& suppressed);
 

@@ -804,9 +804,10 @@ Status RunCli(const CliInvocation& cli, std::ostream& out) {
     Status written = obs::WriteMetricsFiles(obs::MetricsRegistry::Global(),
                                             metrics_it->second);
     if (written.ok()) {
-      out << "metrics: " << metrics_it->second << " (JSON), "
-          << obs::PrometheusPathFor(metrics_it->second)
-          << " (Prometheus text)\n";
+      // On stderr, like the trace notice.
+      std::cerr << "metrics: " << metrics_it->second << " (JSON), "
+                << obs::PrometheusPathFor(metrics_it->second)
+                << " (Prometheus text)\n";
     } else if (status.ok()) {
       status = written;
     }

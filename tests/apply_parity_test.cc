@@ -2,10 +2,15 @@
 // replaced. `OracleApplySupportChanges` and `OracleApplySuppression`
 // below are those versions, kept verbatim as test-only oracles (only
 // their row source changed: they copy `Rows(db)`): each edits a deep copy
-// of every row in place. On seeded random databases, with the plans of
-// every registered scheme and with random support targets, the current
-// `Apply` must give the oracle's status code and message or its rows,
-// and must leave the `Rng` at the same point of its stream.
+// of every row in place, finding an item's holders by searching every
+// row. On seeded random databases, with the plans of every registered
+// scheme, with random support targets and with suppressions that empty
+// rows, the current `Apply` must give the oracle's status code and
+// message or its rows, and the edit decision alone (`Decide`,
+// `DecideSupportChanges`, `DecideSuppression`) must give the oracle's
+// status or the supports and row count `FrequencyTable::Compute` reads
+// off the oracle's rows. Both must leave the `Rng` at the same point of
+// its stream as the oracle.
 
 #include <gtest/gtest.h>
 
@@ -126,6 +131,27 @@ std::string Diff(const Result<Database>& want, const Result<Database>& got) {
   return "";
 }
 
+// Compares the edit decision against the oracle's database: the same
+// status, or the supports and row count of the oracle's rows. Returns ""
+// when they agree.
+std::string DiffCounts(const Result<Database>& want,
+                       const Result<defense::DefenseEdits>& got) {
+  if (want.ok() != got.ok() || (!want.ok() && want.status() != got.status())) {
+    return "oracle " + want.status().ToString() + " vs " +
+           got.status().ToString();
+  }
+  if (!want.ok()) return "";
+  if (want->num_transactions() != got->num_transactions) {
+    return "row counts differ";
+  }
+  // Compute refuses an empty database; every support is 0 there.
+  const std::vector<SupportCount> supports =
+      want->num_transactions() == 0
+          ? std::vector<SupportCount>(want->num_items(), 0)
+          : FrequencyTable::Compute(*want)->supports();
+  return supports == got->supports ? "" : "supports differ";
+}
+
 /// A database of `m` rows over `n` items. Row sizes run from 1 to 6 and
 /// low ids are drawn more often, so supports spread out into several
 /// frequency groups and singleton rows are common.
@@ -142,25 +168,34 @@ Database RandomDatabase(size_t n, size_t m, Rng* rng) {
   return db;
 }
 
-/// Runs both support-change paths on copies of one stream.
+/// Runs the oracle, the applicator and the decision alone on copies of
+/// one stream.
 void ExpectSupportChangeParity(const Database& db,
                                const std::vector<SupportCount>& targets,
                                uint64_t seed, const std::string& where) {
-  Rng want_rng(seed), got_rng(seed);
+  Rng want_rng(seed), got_rng(seed), decide_rng(seed);
   const Result<Database> want =
       OracleApplySupportChanges(db, targets, &want_rng);
-  const Result<Database> got = ApplySupportChanges(db, targets, &got_rng);
-  EXPECT_EQ(Diff(want, got), "") << where;
-  EXPECT_EQ(want_rng.Next(), got_rng.Next()) << where << ": Rng stream";
+  EXPECT_EQ(Diff(want, ApplySupportChanges(db, targets, &got_rng)), "")
+      << where;
+  EXPECT_EQ(DiffCounts(want, DecideSupportChanges(ItemIndex::Build(db),
+                                                  targets, &decide_rng)),
+            "")
+      << where << ": decision";
+  const uint64_t want_next = want_rng.Next();
+  EXPECT_EQ(want_next, got_rng.Next()) << where << ": Rng stream";
+  EXPECT_EQ(want_next, decide_rng.Next()) << where << ": decision Rng stream";
 }
 
 void ExpectSuppressionParity(const Database& db,
                              const std::vector<ItemId>& suppressed,
                              const std::string& where) {
-  EXPECT_EQ(Diff(OracleApplySuppression(db, suppressed),
-                 ApplySuppression(db, suppressed)),
+  const Result<Database> want = OracleApplySuppression(db, suppressed);
+  EXPECT_EQ(Diff(want, ApplySuppression(db, suppressed)), "") << where;
+  EXPECT_EQ(DiffCounts(want,
+                       DecideSuppression(ItemIndex::Build(db), suppressed)),
             "")
-      << where;
+      << where << ": decision";
 }
 
 TEST(ApplyParityTest, EveryRegisteredSchemePlan) {
@@ -171,6 +206,7 @@ TEST(ApplyParityTest, EveryRegisteredSchemePlan) {
     const size_t m = static_cast<size_t>(rng.UniformInt(5, 200));
     const Database db = RandomDatabase(n, m, &rng);
     const FrequencyTable table = *FrequencyTable::Compute(db);
+    const ItemIndex index = ItemIndex::Build(db);
     for (const defense::DefenseScheme* scheme :
          defense::DefenseScheme::All()) {
       for (const defense::DefenseParams& params : scheme->ParamSpace(table)) {
@@ -179,7 +215,7 @@ TEST(ApplyParityTest, EveryRegisteredSchemePlan) {
         const std::string where = "trial=" + std::to_string(trial) + " " +
                                   scheme->name() + " " + params.ToString();
         const uint64_t seed = rng.Next();
-        Rng want_rng(seed), got_rng(seed);
+        Rng want_rng(seed), got_rng(seed), decide_rng(seed);
         const Result<Database> want =
             std::string(scheme->name()) == "suppression"
                 ? OracleApplySuppression(db, plan->suppressed)
@@ -187,7 +223,13 @@ TEST(ApplyParityTest, EveryRegisteredSchemePlan) {
                                             &want_rng);
         const Result<Database> got = scheme->Apply(db, *plan, &got_rng);
         EXPECT_EQ(Diff(want, got), "") << where;
-        EXPECT_EQ(want_rng.Next(), got_rng.Next()) << where << ": Rng stream";
+        EXPECT_EQ(DiffCounts(want, scheme->Decide(index, *plan, &decide_rng)),
+                  "")
+            << where << ": decision";
+        const uint64_t want_next = want_rng.Next();
+        EXPECT_EQ(want_next, got_rng.Next()) << where << ": Rng stream";
+        EXPECT_EQ(want_next, decide_rng.Next())
+            << where << ": decision Rng stream";
         ++compared;
       }
     }
@@ -230,6 +272,26 @@ TEST(ApplyParityTest, SupportChangeErrors) {
   ExpectSupportChangeParity(db, {2, 2, 2, 2}, 5, "size mismatch");
   ExpectSupportChangeParity(db, {5, 1, 3}, 5, "support > m");
   ExpectSupportChangeParity(Database(3), {0, 0, 0}, 5, "empty database");
+}
+
+TEST(ApplyParityTest, AnotherSchemesPlanIsRejectedBeforeAnyEdit) {
+  Database db(2);
+  ASSERT_TRUE(db.AddTransaction({0, 1}).ok());
+  ASSERT_TRUE(db.AddTransaction({1}).ok());
+  defense::DefensePlan plan;
+  plan.scheme = "suppression";
+  plan.new_supports = {1, 1};
+  const Status want = Status::InvalidArgument(
+      "plan was produced by scheme 'suppression', not 'group_merge'");
+  const defense::DefenseScheme* merge =
+      defense::DefenseScheme::Find("group_merge");
+  Rng apply_rng(3), decide_rng(3), untouched(3);
+  EXPECT_EQ(merge->Apply(db, plan, &apply_rng).status(), want);
+  EXPECT_EQ(merge->Decide(ItemIndex::Build(db), plan, &decide_rng).status(),
+            want);
+  const uint64_t next = untouched.Next();
+  EXPECT_EQ(apply_rng.Next(), next);
+  EXPECT_EQ(decide_rng.Next(), next);
 }
 
 TEST(ApplyParityTest, SuppressionDropsEmptiedRows) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 #include "data/fimi_io.h"
@@ -329,9 +330,14 @@ TEST(CliRunTest, AssessWithMetricsOutWritesJsonAndProm) {
   auto cli = ParseCli({"assess", path, "--tolerance=0.05",
                        "--metrics-out=" + json_path});
   ASSERT_TRUE(cli.ok());
-  std::ostringstream out;
-  ASSERT_TRUE(RunCli(*cli, out).ok());
-  EXPECT_NE(out.str().find("metrics: " + json_path), std::string::npos);
+  std::ostringstream out, err;
+  std::streambuf* const cerr_buf = std::cerr.rdbuf(err.rdbuf());
+  const Status run = RunCli(*cli, out);
+  std::cerr.rdbuf(cerr_buf);
+  ASSERT_TRUE(run.ok());
+  // The notice goes to stderr, so stdout carries only the command's output.
+  EXPECT_NE(err.str().find("metrics: " + json_path), std::string::npos);
+  EXPECT_EQ(out.str().find("metrics: "), std::string::npos);
 
   std::ifstream json(json_path);
   ASSERT_TRUE(json.good());

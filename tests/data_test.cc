@@ -96,6 +96,88 @@ TEST(DatabaseTest, TotalSizeIsTheSumOfRowSizes) {
   EXPECT_EQ(db.TotalSize(), sum);
 }
 
+// --------------------------------------------------------------- ItemIndex
+
+using RowIds = std::vector<ItemIndex::RowId>;
+
+RowIds Holders(const ItemIndex& index, ItemId x) {
+  const std::span<const ItemIndex::RowId> held = index.holders(x);
+  return RowIds(held.begin(), held.end());
+}
+
+TEST(ItemIndexTest, EmptyDatabase) {
+  const ItemIndex index = ItemIndex::Build(Database(3));
+  EXPECT_EQ(index.num_items(), 3u);
+  EXPECT_EQ(index.num_transactions(), 0u);
+  for (ItemId x = 0; x < 3; ++x) {
+    EXPECT_TRUE(index.holders(x).empty());
+    EXPECT_TRUE(index.NonHolders(x).empty());
+    EXPECT_EQ(index.support(x), 0u);
+  }
+  EXPECT_TRUE(ItemIndex::Build(Database(0)).Supports().empty());
+}
+
+TEST(ItemIndexTest, ItemNoRowHoldsHasEveryRowAsNonHolder) {
+  auto db = Database::FromTransactions(4, {{0, 2}, {2, 3}, {0}});
+  ASSERT_TRUE(db.ok());
+  const ItemIndex index = ItemIndex::Build(*db);
+  EXPECT_TRUE(index.holders(1).empty());
+  EXPECT_EQ(index.NonHolders(1), (RowIds{0, 1, 2}));
+  EXPECT_EQ(Holders(index, 0), (RowIds{0, 2}));
+  EXPECT_EQ(index.NonHolders(0), (RowIds{1}));
+  EXPECT_EQ(index.Supports(), (std::vector<SupportCount>{2, 0, 2, 1}));
+}
+
+TEST(ItemIndexTest, LastRowIsIndexed) {
+  auto db = Database::FromTransactions(3, {{0}, {0, 1}, {1, 2}});
+  ASSERT_TRUE(db.ok());
+  const ItemIndex index = ItemIndex::Build(*db);
+  EXPECT_EQ(Holders(index, 2), (RowIds{2}));
+  EXPECT_EQ(Holders(index, 1), (RowIds{1, 2}));
+  EXPECT_EQ(index.NonHolders(0), (RowIds{2}));
+  EXPECT_EQ(index.row_size(2), 2u);
+}
+
+TEST(ItemIndexTest, ItemsOutsideEveryRow) {
+  // The domain runs past the largest item any row holds.
+  Database db(2);
+  ASSERT_TRUE(db.AddTransaction({0, 1}).ok());
+  ASSERT_TRUE(db.AddTransaction({1}).ok());
+  db.ExtendDomain(5);
+  const ItemIndex index = ItemIndex::Build(db);
+  EXPECT_EQ(index.num_items(), 5u);
+  for (ItemId x = 2; x < 5; ++x) {
+    EXPECT_TRUE(index.holders(x).empty()) << x;
+    EXPECT_EQ(index.NonHolders(x), (RowIds{0, 1})) << x;
+  }
+  EXPECT_EQ(Holders(index, 1), (RowIds{0, 1}));
+}
+
+TEST(ItemIndexTest, MatchesAScanOfEveryRow) {
+  Rng rng(12);
+  Database db(25);
+  for (int t = 0; t < 80; ++t) {
+    Transaction txn(static_cast<size_t>(rng.UniformInt(1, 8)));
+    for (ItemId& x : txn) x = static_cast<ItemId>(rng.UniformUint64(20));
+    ASSERT_TRUE(db.AddTransaction(txn).ok());
+  }
+  const ItemIndex index = ItemIndex::Build(db);
+  ASSERT_EQ(index.num_transactions(), db.num_transactions());
+  for (size_t t = 0; t < db.num_transactions(); ++t) {
+    EXPECT_EQ(index.row_size(t), db.transaction(t).size());
+  }
+  for (ItemId x = 0; x < db.num_items(); ++x) {
+    RowIds holders, others;
+    for (size_t t = 0; t < db.num_transactions(); ++t) {
+      (db.Contains(t, x) ? holders : others)
+          .push_back(static_cast<ItemIndex::RowId>(t));
+    }
+    EXPECT_EQ(Holders(index, x), holders) << x;
+    EXPECT_EQ(index.NonHolders(x), others) << x;
+    EXPECT_EQ(index.support(x), holders.size()) << x;
+  }
+}
+
 TEST(DatabaseTest, FromTransactionsPropagatesErrors) {
   auto bad = Database::FromTransactions(2, {{0}, {5}});
   EXPECT_FALSE(bad.ok());

@@ -4,9 +4,12 @@
 #include <string>
 #include <vector>
 
+#include "belief/builders.h"
 #include "data/database.h"
+#include "data/frequency.h"
 #include "defense/optimizer.h"
 #include "defense/scheme.h"
+#include "estimator/planner.h"
 #include "exec/exec.h"
 #include "util/rng.h"
 #include "test_rows.h"
@@ -163,6 +166,150 @@ TEST(OptimizerTest, EveryFrontierPointIsReplayable) {
     ASSERT_TRUE(db2.ok());
     EXPECT_EQ(Rows(*da), Rows(*db2));
   }
+}
+
+// The sweep as it scored candidates before the edit decision was split
+// from the row writer, kept as a test-only oracle: every candidate's
+// defended database is written by `Apply` and counted by
+// `FrequencyTable::Compute`. Risk, utility and the frontier follow the
+// rules `RecommendDefense` documents, on the same seed streams.
+DefenseFrontier OracleSweep(const Database& db, uint64_t seed) {
+  const OptimizerOptions options;
+  exec::ExecOptions eo;
+  eo.seed = seed;
+  exec::ExecContext ctx(eo);
+  const FrequencyTable before = *FrequencyTable::Compute(db);
+
+  // Expected cracks of the release view (published items only) under the
+  // compliant interval belief at its own δ_med.
+  struct Risk {
+    double cracks = 0.0;
+    bool exact = true;
+    size_t components = 0, k = 0, groups = 0;
+  };
+  auto score = [&](const FrequencyTable& table, uint64_t stream) {
+    std::vector<SupportCount> alive;
+    for (SupportCount s : table.supports()) {
+      if (s > 0) alive.push_back(s);
+    }
+    Risk risk;
+    if (alive.empty()) return risk;
+    const FrequencyTable release =
+        *FrequencyTable::FromSupports(alive, table.num_transactions());
+    const FrequencyGroups groups = FrequencyGroups::Build(release);
+    risk.groups = groups.num_groups();
+    risk.k = groups.group_size(0);
+    for (size_t g = 1; g < groups.num_groups(); ++g) {
+      risk.k = std::min(risk.k, groups.group_size(g));
+    }
+    PlannerOptions planner = options.planner;
+    planner.block_sampler.exec.seed = exec::SplitSeed(seed, stream);
+    const CrackEstimate estimate = *PlanAndEstimate(
+        groups, *MakeCompliantIntervalBelief(release, groups.MedianGap()),
+        planner, &ctx);
+    risk.cracks = estimate.expected_cracks;
+    risk.exact = estimate.exact;
+    risk.components = estimate.num_components;
+    return risk;
+  };
+
+  DefenseFrontier out;
+  out.num_items = before.num_items();
+  out.num_transactions = before.num_transactions();
+  out.seed = seed;
+  const Risk baseline = score(before, 1);
+  out.baseline_cracks = baseline.cracks;
+  out.baseline_exact = baseline.exact;
+  out.baseline_groups = baseline.groups;
+  for (const DefenseScheme* scheme : DefenseScheme::All()) {
+    for (const defense::DefenseParams& params : scheme->ParamSpace(before)) {
+      CandidateScore c;
+      c.index = out.candidates.size();
+      c.scheme = scheme->name();
+      c.params = params;
+      Result<defense::DefensePlan> plan = scheme->Plan(before, params);
+      EXPECT_TRUE(plan.ok() || plan.status().IsFailedPrecondition())
+          << plan.status();
+      Rng rng(exec::SplitSeed(seed, 2 * c.index + 2));
+      const Result<Database> defended =
+          plan.ok() ? scheme->Apply(db, *plan, &rng) : plan.status();
+      const Result<FrequencyTable> after =
+          defended.ok() ? FrequencyTable::Compute(*defended)
+                        : defended.status();
+      if (!after.ok()) {
+        c.reason = after.status().message();
+      } else {
+        const Risk risk = score(*after, 2 * c.index + 3);
+        c.feasible = true;
+        c.plan = *plan;
+        c.expected_cracks = risk.cracks;
+        c.exact = risk.exact;
+        c.num_components = risk.components;
+        c.k_anonymity = risk.k;
+        c.utility = defense::ComputeUtilityLoss(before, *after);
+      }
+      out.candidates.push_back(std::move(c));
+    }
+  }
+
+  const auto& cs = out.candidates;
+  for (size_t i = 0; i < cs.size(); ++i) {
+    bool dominated = !cs[i].feasible;
+    for (size_t j = 0; j < cs.size() && !dominated; ++j) {
+      dominated = j != i && cs[j].feasible &&
+                  cs[j].expected_cracks <= cs[i].expected_cracks &&
+                  cs[j].utility.total_loss <= cs[i].utility.total_loss &&
+                  (cs[j].expected_cracks < cs[i].expected_cracks ||
+                   cs[j].utility.total_loss < cs[i].utility.total_loss);
+    }
+    if (!dominated) out.frontier.push_back(i);
+  }
+  std::sort(out.frontier.begin(), out.frontier.end(), [&](size_t a, size_t b) {
+    if (cs[a].expected_cracks != cs[b].expected_cracks) {
+      return cs[a].expected_cracks < cs[b].expected_cracks;
+    }
+    if (cs[a].utility.total_loss != cs[b].utility.total_loss) {
+      return cs[a].utility.total_loss < cs[b].utility.total_loss;
+    }
+    return a < b;
+  });
+  for (size_t i : out.frontier) out.candidates[i].on_frontier = true;
+  return out;
+}
+
+TEST(OptimizerTest, MatchesTheApplyThenComputeOracle) {
+  // Seeded random databases: row sizes 1 to 6, low ids drawn more often,
+  // so supports spread into several groups and singleton rows (which
+  // make some support cuts unrealizable) are common.
+  Rng rng(18);
+  size_t feasible = 0, infeasible = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t n = static_cast<size_t>(rng.UniformInt(4, 24));
+    const size_t m = static_cast<size_t>(rng.UniformInt(10, 160));
+    Database db(n);
+    for (size_t t = 0; t < m; ++t) {
+      Transaction row(static_cast<size_t>(rng.UniformInt(1, 6)));
+      for (ItemId& x : row) {
+        const double u = rng.UniformDouble();
+        x = static_cast<ItemId>(u * u * static_cast<double>(n));
+      }
+      ASSERT_TRUE(db.AddTransaction(std::move(row)).ok());
+    }
+    const uint64_t seed = rng.Next();
+    const DefenseFrontier oracle = OracleSweep(db, seed);
+    const std::string want = oracle.ToJson().Dump();
+    for (size_t threads : {1, 4}) {
+      auto got = Sweep(db, threads, seed);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->ToJson().Dump(), want)
+          << "trial=" << trial << " threads=" << threads;
+    }
+    for (const CandidateScore& c : oracle.candidates) {
+      ++(c.feasible ? feasible : infeasible);
+    }
+  }
+  EXPECT_GT(feasible, 100u);
+  EXPECT_GT(infeasible, 0u);
 }
 
 TEST(OptimizerTest, InfeasibleCandidatesCarryReasonsNotFailures) {
