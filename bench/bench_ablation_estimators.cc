@@ -22,10 +22,10 @@
 #include "belief/builders.h"
 #include "belief/chain.h"
 #include "bench_common.h"
-#include "core/direct_method.h"
 #include "core/graph_oestimate.h"
 #include "core/oestimate.h"
-#include "core/simulated.h"
+#include "graph/bipartite_graph.h"
+#include "graph/permanent.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table_printer.h"
@@ -76,7 +76,9 @@ int main() {
       auto beta =
           MakeCompliantIntervalBelief(*tbl, 0.3 * rng.UniformDouble());
       if (!beta.ok()) continue;
-      auto exact = DirectExpectedCracks(groups, *beta);
+      auto graph = BipartiteGraph::Build(groups, *beta);
+      if (!graph.ok()) continue;
+      auto exact = ExactExpectedCracksByPermanent(*graph);
       if (!exact.ok() || *exact <= 0.0) continue;
 
       OEstimateOptions raw;
@@ -84,12 +86,11 @@ int main() {
       auto naive = ComputeOEstimate(groups, *beta, raw);
       auto propagated = ComputeOEstimate(groups, *beta);
       auto refined = ComputeRefinedOEstimate(groups, *beta);
-      SimulationOptions sim_opts;
-      sim_opts.exec.runs = 2;
-      sim_opts.sampler.num_samples = 1000;
-      sim_opts.sampler.thinning_sweeps = 4;
-      sim_opts.exec.seed = rng.Next();
-      auto sim = SimulateExpectedCracks(groups, *beta, sim_opts);
+      SamplerOptions sampler;
+      sampler.num_samples = 1000;
+      sampler.thinning_sweeps = 4;
+      auto sim =
+          SimulateCracks(groups, *beta, sampler, /*runs=*/2, rng.Next());
       if (!naive.ok() || !propagated.ok() || !refined.ok() || !sim.ok()) {
         continue;
       }
@@ -145,12 +146,11 @@ int main() {
       auto naive = ComputeOEstimate(groups, realized->belief, raw);
       auto propagated = ComputeOEstimate(groups, realized->belief);
       auto refined = ComputeRefinedOEstimate(groups, realized->belief);
-      SimulationOptions sim_opts;
-      sim_opts.exec.runs = 2;
-      sim_opts.sampler.num_samples = 1000;
-      sim_opts.sampler.thinning_sweeps = 4;
-      sim_opts.exec.seed = rng.Next();
-      auto sim = SimulateExpectedCracks(groups, realized->belief, sim_opts);
+      SamplerOptions sampler;
+      sampler.num_samples = 1000;
+      sampler.thinning_sweeps = 4;
+      auto sim = SimulateCracks(groups, realized->belief, sampler,
+                                /*runs=*/2, rng.Next());
       if (!naive.ok() || !propagated.ok() || !refined.ok() || !sim.ok()) {
         continue;
       }

@@ -4,7 +4,9 @@
 #include <iostream>
 
 #include "datagen/profile.h"
+#include "exec/exec.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace anonsafe {
 namespace bench {
@@ -63,6 +65,31 @@ Result<Dataset> MakeDataset(Benchmark b, double scale, bool with_database,
     out.has_database = true;
   }
   return out;
+}
+
+Result<SimulatedCracks> SimulateCracks(const FrequencyGroups& observed,
+                                       const BeliefFunction& belief,
+                                       SamplerOptions sampler, size_t runs,
+                                       uint64_t seed,
+                                       const std::vector<bool>* interest) {
+  std::vector<double> run_means;
+  for (size_t r = 0; r < runs; ++r) {
+    sampler.exec.seed = exec::SplitSeed(seed, r);
+    ANONSAFE_ASSIGN_OR_RETURN(
+        MatchingSampler run,
+        MatchingSampler::Create(observed, belief, sampler));
+    std::vector<size_t> counts;
+    if (interest == nullptr) {
+      counts = run.SampleCrackCounts();
+    } else {
+      ANONSAFE_ASSIGN_OR_RETURN(counts, run.SampleCrackCounts(*interest));
+    }
+    double sum = 0.0;
+    for (size_t c : counts) sum += static_cast<double>(c);
+    run_means.push_back(
+        counts.empty() ? 0.0 : sum / static_cast<double>(counts.size()));
+  }
+  return SimulatedCracks{Mean(run_means), SampleStdDev(run_means)};
 }
 
 void MaybeWriteCsv(const CsvWriter& csv, const std::string& name) {

@@ -4,9 +4,11 @@
 #include <string>
 #include <vector>
 
+#include "belief/belief_function.h"
 #include "data/database.h"
 #include "data/frequency.h"
 #include "datagen/benchmark_profiles.h"
+#include "graph/matching_sampler.h"
 #include "util/csv_writer.h"
 #include "util/result.h"
 
@@ -49,6 +51,20 @@ struct Dataset {
 /// (reproducible across benches).
 Result<Dataset> MakeDataset(Benchmark b, double scale, bool with_database,
                             uint64_t seed = 2005);
+
+/// \brief The paper's Section 7.1 simulated estimate of the expected
+/// cracks: the mean and sample standard deviation, across `runs`
+/// independent MCMC runs, of each run's mean crack count. Run r samples
+/// with `sampler` seeded SplitSeed(seed, r). With `interest`, only
+/// cracks of the items marked true count (Fig. 11).
+struct SimulatedCracks {
+  double mean = 0.0;
+  double stddev = 0.0;
+};
+Result<SimulatedCracks> SimulateCracks(
+    const FrequencyGroups& observed, const BeliefFunction& belief,
+    SamplerOptions sampler, size_t runs, uint64_t seed,
+    const std::vector<bool>* interest = nullptr);
 
 /// \brief If ANONSAFE_CSV_DIR is set, writes `csv` to `<dir>/<name>.csv`
 /// and reports the path on stdout; otherwise does nothing.

@@ -14,7 +14,6 @@
 #include "belief/builders.h"
 #include "bench_common.h"
 #include "core/oestimate.h"
-#include "core/simulated.h"
 #include "obs/scoped_timer.h"
 #include "util/table_printer.h"
 
@@ -62,12 +61,11 @@ int main() {
     double sim_mean = 0.0, sim_sd = 0.0;
     std::string within = "-";
     if (simulate) {
-      SimulationOptions sim_options;
-      sim_options.exec.runs = 5;
-      sim_options.sampler.num_samples = 400;
-      sim_options.sampler.thinning_sweeps = 8;
-      sim_options.exec.seed = 17;
-      auto sim = SimulateExpectedCracks(ds->groups, *belief, sim_options);
+      SamplerOptions sampler;
+      sampler.num_samples = 400;
+      sampler.thinning_sweeps = 8;
+      auto sim = SimulateCracks(ds->groups, *belief, sampler, /*runs=*/5,
+                                /*seed=*/17);
       if (!sim.ok()) {
         std::cerr << sim.status() << "\n";
         return 1;

@@ -18,7 +18,6 @@
 #include "bench_common.h"
 #include "core/alpha_sweep.h"
 #include "core/oestimate.h"
-#include "core/simulated.h"
 #include "util/table_printer.h"
 
 using namespace anonsafe;
@@ -85,14 +84,12 @@ int main() {
           return 1;
         }
         AlphaCompliantBelief ab = std::move(belief_at).value();
-        SimulationOptions sim_options;
-        sim_options.exec.runs = 3;
-        sim_options.sampler.num_samples = 250;
-        sim_options.sampler.burn_in_sweeps = 150;
-        sim_options.sampler.thinning_sweeps = 6;
-        sim_options.exec.seed = 29;
-        auto sim = SimulateExpectedCracksOfInterest(
-            ds->groups, ab.belief, ab.compliant_mask, sim_options);
+        SamplerOptions sampler;
+        sampler.num_samples = 250;
+        sampler.burn_in_sweeps = 150;
+        sampler.thinning_sweeps = 6;
+        auto sim = SimulateCracks(ds->groups, ab.belief, sampler, /*runs=*/3,
+                                  /*seed=*/29, &ab.compliant_mask);
         if (sim.ok()) {
           sim_fraction = sim->mean / n;
           sim_cell = TablePrinter::Fmt(sim_fraction, 4);

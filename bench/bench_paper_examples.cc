@@ -15,10 +15,11 @@
 #include "belief/builders.h"
 #include "belief/chain.h"
 #include "bench_common.h"
-#include "core/direct_method.h"
 #include "core/exact_formulas.h"
 #include "core/oestimate.h"
 #include "data/frequency.h"
+#include "graph/bipartite_graph.h"
+#include "graph/permanent.h"
 #include "util/table_printer.h"
 
 using namespace anonsafe;
@@ -70,7 +71,9 @@ int main() {
         1.0 / 6 + 1.0 / 5 + 1.0 / 4 + 1.0 / 5 + 1.0 / 2 + 1.0 / 4,
         oe_h->expected_cracks);
   // Exact E(X) for h via the direct (permanent) method as extra context.
-  auto direct_h = DirectExpectedCracks(groups, *h);
+  auto graph_h = BipartiteGraph::Build(groups, *h);
+  if (!graph_h.ok()) return 1;
+  auto direct_h = ExactExpectedCracksByPermanent(*graph_h);
   if (direct_h.ok()) {
     table.AddRow({"BigMart h: exact E(X) (direct method)", "-",
                   TablePrinter::FmtG(*direct_h, 10), ""});
@@ -95,7 +98,9 @@ int main() {
                                          realized->num_transactions);
   if (!rt.ok()) return 1;
   FrequencyGroups rg = FrequencyGroups::Build(*rt);
-  auto direct = DirectExpectedCracks(rg, realized->belief);
+  auto rgraph = BipartiteGraph::Build(rg, realized->belief);
+  if (!rgraph.ok()) return 1;
+  auto direct = ExactExpectedCracksByPermanent(*rgraph);
   if (!direct.ok()) return 1;
   Check(&table, "Fig. 4(a) direct method agrees", 74.0 / 45.0, *direct,
         1e-6);
@@ -124,7 +129,10 @@ int main() {
       ANONSAFE_ASSIGN_OR_RETURN(
           FrequencyTable t, FrequencyTable::FromSupports(supports, 2000));
       FrequencyGroups g = FrequencyGroups::Build(t);
-      return DirectExpectedCracks(g, MakeIgnorantBelief(n));
+      ANONSAFE_ASSIGN_OR_RETURN(
+          BipartiteGraph graph,
+          BipartiteGraph::Build(g, MakeIgnorantBelief(n)));
+      return ExactExpectedCracksByPermanent(graph);
     }();
     if (!direct_ign.ok()) return 1;
     Check(&table,

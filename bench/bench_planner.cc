@@ -25,9 +25,9 @@
 #include <vector>
 
 #include "belief/belief_function.h"
-#include "core/direct_method.h"
 #include "data/frequency.h"
 #include "estimator/planner.h"
+#include "graph/bipartite_graph.h"
 #include "graph/permanent.h"
 
 namespace anonsafe {
@@ -78,7 +78,12 @@ void BM_DirectMonolithic(benchmark::State& state) {
   Fixture fx = MakeClusteredFixture(blocks);
   double cracks = 0.0;
   for (auto _ : state) {
-    auto direct = DirectExpectedCracks(fx.groups, fx.belief);
+    auto graph = BipartiteGraph::Build(fx.groups, fx.belief);
+    if (!graph.ok()) {
+      state.SkipWithError(graph.status().ToString().c_str());
+      break;
+    }
+    auto direct = ExactExpectedCracksByPermanent(*graph);
     if (!direct.ok()) {
       state.SkipWithError(direct.status().ToString().c_str());
       break;

@@ -17,7 +17,6 @@
 #include "anonymize/crack.h"
 #include "belief/builders.h"
 #include "core/oestimate.h"
-#include "core/simulated.h"
 #include "data/frequency.h"
 #include "data/sampling.h"
 #include "datagen/profile.h"

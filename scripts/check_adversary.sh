@@ -9,7 +9,8 @@
 #      the registry),
 #   3. `assess` prints an `adversary:` provenance line exactly for
 #      non-default specs; `plan` accepts unweighted adversaries and
-#      refuses weighted ones with a pointer at --estimator=oe,
+#      refuses weighted ones with the estimator layer's one
+#      weighted-model message (the recipe's wording),
 #   4. unknown names and malformed params are refused on every layer:
 #      CLI exits non-zero, serve answers invalid_params,
 #   5. the serve `assess_risk` verb with an `adversary` param embeds
@@ -99,8 +100,9 @@ if timeout 120 "$CLI" plan "$data" --adversary="probabilistic" \
      > /dev/null 2> "$plan_err"; then
   fail "plan must refuse weighted adversaries"
 fi
-grep -q "estimator=oe" "$plan_err" \
-  || fail "weighted-plan refusal should point at --estimator=oe: $(cat "$plan_err")"
+grep -qF "produces weighted models, which estimator=auto does not support" \
+    "$plan_err" \
+  || fail "weighted-plan refusal should use the one weighted-model message: $(cat "$plan_err")"
 
 # ------------------------------------------------- 4. CLI error paths
 for bad in "laplace" "interval:bogus=1" "probabilistic:sigma=-1" \

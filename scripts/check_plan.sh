@@ -8,7 +8,10 @@
 #      agrees with the default OE path on the decision,
 #   3. `report --json --estimator=auto` embeds estimator, interval_exact
 #      and per-block provenance in the report document,
-#   4. an unknown estimator name fails with InvalidArgument.
+#   4. an unknown estimator name fails with InvalidArgument,
+#   5. a weighted adversary is refused by `plan` and by
+#      `assess --estimator=auto` with one and the same Unimplemented
+#      message, and still assessed by `--estimator=oe`.
 #
 # Usage:
 #   scripts/check_plan.sh [path/to/anonsafe]
@@ -98,4 +101,23 @@ fi
 grep -q 'InvalidArgument: unknown estimator "bogus"' "$workdir/bogus.txt" \
   || fail "unknown-estimator error message drifted: $(cat "$workdir/bogus.txt")"
 
-echo "check_plan: OK (plan previews blocks; auto estimator exact with provenance; unknown name rejected)"
+# 5. One weighted-model check: `plan` previews the auto estimator, so it
+#    refuses a weighted adversary exactly as `assess --estimator=auto`
+#    does; the O-estimate honours the weights.
+weighted_msg="Unimplemented: adversary 'probabilistic' produces weighted models, which estimator=auto does not support"
+if "$CLI" plan "$data" --adversary=probabilistic > "$workdir/wplan.txt" 2>&1; then
+  fail "plan accepted a weighted adversary"
+fi
+if "$CLI" assess "$data" --adversary=probabilistic --estimator=auto \
+    > "$workdir/wauto.txt" 2>&1; then
+  fail "assess --estimator=auto accepted a weighted adversary"
+fi
+grep -qF "$weighted_msg" "$workdir/wplan.txt" \
+  || fail "plan weighted-adversary message drifted: $(cat "$workdir/wplan.txt")"
+diff "$workdir/wplan.txt" "$workdir/wauto.txt" >/dev/null \
+  || fail "plan and assess refuse a weighted adversary differently"
+"$CLI" assess "$data" --adversary=probabilistic --estimator=oe \
+    > "$workdir/woe.txt" 2>&1 \
+  || fail "assess --estimator=oe refused a weighted adversary: $(cat "$workdir/woe.txt")"
+
+echo "check_plan: OK (plan previews blocks; auto estimator exact with provenance; unknown name rejected; one weighted-model check)"

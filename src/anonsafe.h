@@ -76,7 +76,6 @@
 // Risk estimators and owner-side workflows. (The α-sweep internals in
 // core/alpha_sweep.h are implementation machinery of the recipe, not part
 // of the umbrella surface — include that header directly if you need it.)
-#include "core/direct_method.h"    // IWYU pragma: export
 #include "core/exact_formulas.h"   // IWYU pragma: export
 #include "core/graph_oestimate.h"  // IWYU pragma: export
 #include "core/oestimate.h"        // IWYU pragma: export
@@ -84,7 +83,6 @@
 #include "core/recipe.h"           // IWYU pragma: export
 #include "core/risk_report.h"      // IWYU pragma: export
 #include "core/similarity.h"       // IWYU pragma: export
-#include "core/simulated.h"        // IWYU pragma: export
 
 // Section 8.1 relational generalization.
 #include "relational/knowledge.h"     // IWYU pragma: export

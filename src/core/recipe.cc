@@ -97,15 +97,8 @@ Status ValidateRecipeOptions(const RecipeOptions& options) {
                                    "' (known: " + known + ")");
   }
   ANONSAFE_RETURN_IF_ERROR(adv->ValidateParams(options.adversary_params));
-  if (adv->Describe().weighted &&
-      !MakeEstimator(options.estimator)->supports_weights()) {
-    // Refusing here, before any work, beats failing mid-recipe.
-    return Status::Unimplemented(
-        std::string("adversary '") + adv->name() +
-        "' produces weighted models, which estimator=" +
-        EstimatorKindName(options.estimator) + " does not support");
-  }
-  return Status::OK();
+  // Refusing here, before any work, beats failing mid-recipe.
+  return CheckAdversarySupported(options.estimator, adv->Describe());
 }
 
 /// \brief The cross-call cache behind repeated AssessRisk runs on one

@@ -47,9 +47,8 @@ struct RecipeOptions {
   /// plus its parameters. The default, "interval", is the paper's
   /// interval-valued belief and reproduces the historical pipeline
   /// bit-for-bit. Weighted adversaries (e.g. "probabilistic") are only
-  /// valid with an estimator whose `supports_weights()` is true (today
-  /// `kOe`); the others reject with Unimplemented instead of silently
-  /// dropping the weights.
+  /// valid with `kOe`; `CheckAdversarySupported` rejects the others with
+  /// Unimplemented instead of silently dropping the weights.
   std::string adversary = "interval";
   adversary::AdversaryParams adversary_params;
 

@@ -4,7 +4,8 @@
 #include <string>
 #include <utility>
 
-#include "belief/builders.h"
+#include "adversary/adversary.h"
+#include "estimator/estimators.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "util/rng.h"
@@ -33,8 +34,10 @@ struct RiskScore {
   size_t num_groups = 0;
 };
 
-/// Expected cracks of a release under the recipe's compliant interval
-/// belief at the release's own δ_med, scored by the estimator planner.
+/// Expected cracks of a release under the interval adversary bound at
+/// the release's own δ_med (the recipe's compliant interval belief),
+/// scored by the `auto` estimator. The estimator is built per release
+/// because `planner` carries that release's own sampler stream.
 Result<RiskScore> ScoreRisk(const FrequencyTable& release,
                             const PlannerOptions& planner,
                             exec::ExecContext* ctx) {
@@ -47,10 +50,15 @@ Result<RiskScore> ScoreRisk(const FrequencyTable& release,
     score.k_anonymity = std::min(score.k_anonymity, groups.group_size(g));
   }
   ANONSAFE_ASSIGN_OR_RETURN(
-      BeliefFunction belief,
-      MakeCompliantIntervalBelief(release, groups.MedianGap()));
-  ANONSAFE_ASSIGN_OR_RETURN(CrackEstimate estimate,
-                            PlanAndEstimate(groups, belief, planner, ctx));
+      adversary::AdversaryModel model,
+      adversary::Adversary::Find("interval")
+          ->Bind(release, groups, groups.MedianGap(), {}));
+  EstimatorConfig config;
+  config.planner = planner;
+  ANONSAFE_ASSIGN_OR_RETURN(
+      CrackEstimate estimate,
+      MakeEstimator(EstimatorKind::kAuto, config)
+          ->Estimate(groups, model, ctx));
   score.expected_cracks = estimate.expected_cracks;
   score.exact = estimate.exact;
   score.num_components = estimate.num_components;

@@ -90,13 +90,6 @@ class CrackEstimator {
   /// \brief Canonical name of the engine ("auto", "oe", ...).
   virtual const char* name() const = 0;
 
-  /// \brief True when the engine honours a weighted adversary model's
-  /// per-item weights. Engines without weighted semantics reject
-  /// weighted models with Unimplemented instead of dropping the weights;
-  /// callers ask this before binding a weighted adversary. Only `oe`
-  /// supports weights today.
-  virtual bool supports_weights() const { return false; }
-
   /// \brief Expected cracks of `observed` against the bound adversary
   /// `model`. With a non-null `ctx` the evaluation parallelizes on the
   /// pool while staying bit-identical for any thread count.
@@ -104,7 +97,9 @@ class CrackEstimator {
   /// `interest` (optional, one entry per item) restricts the crack count
   /// to the Lemma 2/4 items of interest; the full domain still shapes
   /// the consistency graph. Only `oe` accepts it; the other engines
-  /// return InvalidArgument.
+  /// return InvalidArgument. Likewise only `oe` honours a weighted
+  /// model's per-item weights; the others reject such a model with
+  /// `CheckAdversarySupported`'s Unimplemented.
   virtual Result<CrackEstimate> Estimate(
       const FrequencyGroups& observed, const adversary::AdversaryModel& model,
       exec::ExecContext* ctx = nullptr,

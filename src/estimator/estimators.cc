@@ -62,19 +62,16 @@ namespace {
 
 /// Guard of the engines that see only the structural belief: a weighted
 /// model or an interest mask would otherwise be silently ignored.
-Status CheckUnscoped(const CrackEstimator& engine,
-                     const adversary::AdversaryModel& model,
+Status CheckUnscoped(EstimatorKind kind, const adversary::AdversaryModel& model,
                      const std::vector<bool>* interest) {
-  if (model.weighted() && !engine.supports_weights()) {
-    return Status::Unimplemented(
-        "adversary '" + model.adversary +
-        "' produces weighted models, which estimator=" + engine.name() +
-        " does not support");
-  }
+  adversary::AdversaryDescription producer;
+  producer.name = model.adversary;
+  producer.weighted = model.weighted();
+  ANONSAFE_RETURN_IF_ERROR(CheckAdversarySupported(kind, producer));
   if (interest != nullptr) {
     return Status::InvalidArgument(
         std::string("items of interest need estimator=oe, not ") +
-        engine.name());
+        EstimatorKindName(kind));
   }
   return Status::OK();
 }
@@ -82,27 +79,24 @@ Status CheckUnscoped(const CrackEstimator& engine,
 /// kAuto / kExact: the block-decomposed planner.
 class PlannerEstimator : public CrackEstimator {
  public:
-  PlannerEstimator(PlannerOptions options, bool require_exact)
-      : options_(std::move(options)) {
-    options_.require_exact = require_exact;
-    require_exact_ = require_exact;
+  PlannerEstimator(PlannerOptions options, EstimatorKind kind)
+      : options_(std::move(options)), kind_(kind) {
+    options_.require_exact = kind == EstimatorKind::kExact;
   }
 
-  const char* name() const override {
-    return require_exact_ ? "exact" : "auto";
-  }
+  const char* name() const override { return EstimatorKindName(kind_); }
 
   Result<CrackEstimate> Estimate(
       const FrequencyGroups& observed, const adversary::AdversaryModel& model,
       exec::ExecContext* ctx,
       const std::vector<bool>* interest) const override {
-    ANONSAFE_RETURN_IF_ERROR(CheckUnscoped(*this, model, interest));
+    ANONSAFE_RETURN_IF_ERROR(CheckUnscoped(kind_, model, interest));
     return PlanAndEstimate(observed, model.belief, options_, ctx);
   }
 
  private:
   PlannerOptions options_;
-  bool require_exact_ = false;
+  EstimatorKind kind_;
 };
 
 /// kOe: the paper's linear-time O-estimate (Fig. 5–7).
@@ -111,8 +105,6 @@ class OEstimateEstimator : public CrackEstimator {
   explicit OEstimateEstimator(OEstimateOptions options) : options_(options) {}
 
   const char* name() const override { return "oe"; }
-
-  bool supports_weights() const override { return true; }
 
   Result<CrackEstimate> Estimate(
       const FrequencyGroups& observed, const adversary::AdversaryModel& model,
@@ -145,7 +137,8 @@ class SamplerEstimator : public CrackEstimator {
       const FrequencyGroups& observed, const adversary::AdversaryModel& model,
       exec::ExecContext* ctx,
       const std::vector<bool>* interest) const override {
-    ANONSAFE_RETURN_IF_ERROR(CheckUnscoped(*this, model, interest));
+    ANONSAFE_RETURN_IF_ERROR(
+        CheckUnscoped(EstimatorKind::kSampler, model, interest));
     ANONSAFE_ASSIGN_OR_RETURN(
         MatchingSampler sampler,
         MatchingSampler::Create(observed, model.belief, options_));
@@ -168,18 +161,24 @@ class SamplerEstimator : public CrackEstimator {
 std::unique_ptr<CrackEstimator> MakeEstimator(EstimatorKind kind,
                                               const EstimatorConfig& config) {
   switch (kind) {
-    case EstimatorKind::kAuto:
-      return std::make_unique<PlannerEstimator>(config.planner,
-                                                /*require_exact=*/false);
-    case EstimatorKind::kExact:
-      return std::make_unique<PlannerEstimator>(config.planner,
-                                                /*require_exact=*/true);
     case EstimatorKind::kOe:
       return std::make_unique<OEstimateEstimator>(config.oestimate);
     case EstimatorKind::kSampler:
       return std::make_unique<SamplerEstimator>(config.sampler);
+    case EstimatorKind::kAuto:
+    case EstimatorKind::kExact:
+      break;
   }
-  return std::make_unique<PlannerEstimator>(config.planner, false);
+  return std::make_unique<PlannerEstimator>(config.planner, kind);
+}
+
+Status CheckAdversarySupported(
+    EstimatorKind kind, const adversary::AdversaryDescription& adversary) {
+  if (!adversary.weighted || kind == EstimatorKind::kOe) return Status::OK();
+  return Status::Unimplemented(
+      "adversary '" + adversary.name +
+      "' produces weighted models, which estimator=" +
+      EstimatorKindName(kind) + " does not support");
 }
 
 }  // namespace anonsafe

@@ -30,6 +30,14 @@ struct EstimatorConfig {
 std::unique_ptr<CrackEstimator> MakeEstimator(EstimatorKind kind,
                                               const EstimatorConfig& config = {});
 
+/// \brief The one check that estimator `kind` can evaluate the models
+/// `adversary` binds: Unimplemented when the adversary produces weighted
+/// models and `kind` is not kOe (the only engine that honours weights),
+/// instead of silently dropping the weights. The recipe, `anonsafe plan`
+/// and the engines themselves all ask it, so they reject with one message.
+Status CheckAdversarySupported(
+    EstimatorKind kind, const adversary::AdversaryDescription& adversary);
+
 }  // namespace anonsafe
 
 #endif  // ANONSAFE_ESTIMATOR_ESTIMATORS_H_

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -365,66 +363,6 @@ Status EvalSamplerBlock(const BipartiteGraph& pruned,
   return Status::OK();
 }
 
-/// Enumerates one block's perfect matchings, tallying crack counts.
-/// Returns (matchings, histogram-by-crack-count).
-Result<std::pair<uint64_t, std::vector<uint64_t>>> EnumerateBlock(
-    const BipartiteGraph& pruned, const PlannedBlock& block,
-    uint64_t max_matchings) {
-  const size_t k = block.items.size();
-  // Order anons by ascending degree so the search fails early.
-  std::vector<size_t> order(k);
-  for (size_t i = 0; i < k; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const size_t da = pruned.anon_degree(block.anons[a]);
-    const size_t db = pruned.anon_degree(block.anons[b]);
-    return da != db ? da < db : a < b;
-  });
-  std::vector<std::vector<size_t>> adjacency(k);
-  std::vector<size_t> crack_item(k, kNoBlock);
-  for (size_t d = 0; d < k; ++d) {
-    const size_t la = order[d];
-    for (ItemId x : pruned.items_of_anon(block.anons[la])) {
-      const size_t lx = LocalIndex(block.items, x);
-      adjacency[d].push_back(lx);
-      if (block.items[lx] == block.anons[la]) crack_item[d] = lx;
-    }
-  }
-
-  uint64_t count = 0;
-  std::vector<uint64_t> histogram(k + 1, 0);
-  std::vector<bool> used(k, false);
-  std::function<Status(size_t, size_t)> visit = [&](size_t depth,
-                                                    size_t cracks) -> Status {
-    if (depth == k) {
-      if (++count > max_matchings) {
-        return Status::OutOfRange(
-            "planner block exceeds max_matchings = " +
-            std::to_string(max_matchings));
-      }
-      ++histogram[cracks];
-      return Status::OK();
-    }
-    for (size_t lx : adjacency[depth]) {
-      if (used[lx]) continue;
-      used[lx] = true;
-      Status status =
-          visit(depth + 1, cracks + (crack_item[depth] == lx ? 1 : 0));
-      used[lx] = false;
-      if (!status.ok()) return status;
-    }
-    return Status::OK();
-  };
-  ANONSAFE_RETURN_IF_ERROR(visit(0, 0));
-  return std::make_pair(count, std::move(histogram));
-}
-
-uint64_t SaturatingMul(uint64_t a, uint64_t b) {
-  if (a != 0 && b > std::numeric_limits<uint64_t>::max() / a) {
-    return std::numeric_limits<uint64_t>::max();
-  }
-  return a * b;
-}
-
 }  // namespace
 
 Status ValidatePlannerOptions(const PlannerOptions& options) {
@@ -612,55 +550,6 @@ Result<CrackEstimate> PlanAndEstimate(const FrequencyGroups& observed,
   ANONSAFE_ASSIGN_OR_RETURN(BlockPlan plan,
                             PlanBlocks(graph, observed, options));
   return EstimatePlanned(plan, options, ctx);
-}
-
-Result<CrackDistribution> PlannedCrackDistribution(
-    const FrequencyGroups& observed, const BeliefFunction& belief,
-    uint64_t max_matchings, const PlannerOptions& options) {
-  if (max_matchings == 0) {
-    return Status::InvalidArgument("max_matchings must be positive");
-  }
-  ANONSAFE_ASSIGN_OR_RETURN(
-      BipartiteGraph graph,
-      BipartiteGraph::Build(observed, belief, options.max_edges));
-  ANONSAFE_ASSIGN_OR_RETURN(BlockPlan plan,
-                            PlanBlocks(graph, observed, options));
-
-  CrackDistribution out;
-  out.probability = {1.0};
-  out.num_matchings = 1;
-  for (const PlannedBlock& block : plan.blocks) {
-    ANONSAFE_ASSIGN_OR_RETURN(
-        auto enumerated, EnumerateBlock(plan.pruned, block, max_matchings));
-    const uint64_t block_matchings = enumerated.first;
-    const std::vector<uint64_t>& histogram = enumerated.second;
-    if (block_matchings == 0) {
-      return Status::FailedPrecondition(
-          "planner block has no perfect matching after pruning");
-    }
-    std::vector<double> block_probability(histogram.size(), 0.0);
-    for (size_t c = 0; c < histogram.size(); ++c) {
-      block_probability[c] = static_cast<double>(histogram[c]) /
-                             static_cast<double>(block_matchings);
-    }
-    // Convolve: cracks add across independent blocks.
-    std::vector<double> convolved(
-        out.probability.size() + block_probability.size() - 1, 0.0);
-    for (size_t i = 0; i < out.probability.size(); ++i) {
-      if (out.probability[i] == 0.0) continue;
-      for (size_t j = 0; j < block_probability.size(); ++j) {
-        convolved[i + j] += out.probability[i] * block_probability[j];
-      }
-    }
-    out.probability = std::move(convolved);
-    out.num_matchings = SaturatingMul(out.num_matchings, block_matchings);
-  }
-  out.probability.resize(plan.pruned.num_items() + 1, 0.0);
-  out.expected = 0.0;
-  for (size_t c = 0; c < out.probability.size(); ++c) {
-    out.expected += static_cast<double>(c) * out.probability[c];
-  }
-  return out;
 }
 
 }  // namespace anonsafe

@@ -2,7 +2,6 @@
 #define ANONSAFE_ESTIMATOR_PLANNER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -104,18 +103,6 @@ Result<CrackEstimate> PlanAndEstimate(const FrequencyGroups& observed,
                                       const BeliefFunction& belief,
                                       const PlannerOptions& options = {},
                                       exec::ExecContext* ctx = nullptr);
-
-/// \brief Exact crack distribution by per-block enumeration + discrete
-/// convolution: each block's matchings are enumerated independently and
-/// the block distributions convolve, so the work is the *sum* of the
-/// per-block matching counts where whole-graph enumeration pays their
-/// *product*. `num_matchings` is that product, saturating at UINT64_MAX.
-///
-/// `max_matchings` bounds each block's enumeration (OutOfRange beyond
-/// it); InvalidArgument when it is 0.
-Result<CrackDistribution> PlannedCrackDistribution(
-    const FrequencyGroups& observed, const BeliefFunction& belief,
-    uint64_t max_matchings = 20'000'000, const PlannerOptions& options = {});
 
 }  // namespace anonsafe
 

@@ -20,8 +20,8 @@ class TraceContext;
 namespace exec {
 
 /// \brief Shared execution knobs, embedded once in every top-level
-/// options struct (RecipeOptions, SamplerOptions, SimulationOptions,
-/// SimilarityOptions, ...).
+/// options struct (RecipeOptions, SamplerOptions, SimilarityOptions,
+/// ...).
 ///
 /// Consolidates the seed / replicate-count / thread settings that used
 /// to be scattered per struct. The old per-struct alias fields

@@ -319,6 +319,9 @@ class MatchingEnumerator {
 Result<CrackDistribution> EnumerateCrackDistribution(
     const BipartiteGraph& graph, uint64_t max_matchings) {
   ANONSAFE_SCOPED_TIMER("graph.crack_distribution");
+  if (max_matchings == 0) {
+    return Status::InvalidArgument("max_matchings must be positive");
+  }
   MatchingEnumerator enumerator(graph, max_matchings);
   ANONSAFE_RETURN_IF_ERROR(enumerator.Run());
   return enumerator.Finish();

@@ -90,6 +90,9 @@ struct CrackDistribution {
 /// \brief Enumerates every perfect matching of `graph`, tallying crack
 /// counts (fixed points). Aborts with OutOfRange once more than
 /// `max_matchings` matchings are seen — use only on tiny graphs.
+/// InvalidArgument when `max_matchings` is 0. This and
+/// `ExactExpectedCracksByPermanent` are the exact oracles the estimators
+/// are validated against.
 Result<CrackDistribution> EnumerateCrackDistribution(
     const BipartiteGraph& graph, uint64_t max_matchings = 20'000'000);
 

@@ -173,13 +173,8 @@ Status RunPlan(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_ASSIGN_OR_RETURN(
       double delta, FlagAsDouble(cli, "delta", groups.MedianGap()));
   const adversary::Adversary& adv = *adversary::Adversary::Find(spec.name);
-  if (adv.Describe().weighted &&
-      !MakeEstimator(EstimatorKind::kAuto)->supports_weights()) {
-    return Status::Unimplemented(
-        "adversary '" + spec.name +
-        "' produces weighted models, which the planner does not support; "
-        "assess it with --estimator=oe instead");
-  }
+  ANONSAFE_RETURN_IF_ERROR(
+      CheckAdversarySupported(EstimatorKind::kAuto, adv.Describe()));
   // The default interval adversary binds exactly the historical
   // MakeCompliantIntervalBelief(table, delta) call.
   ANONSAFE_ASSIGN_OR_RETURN(adversary::AdversaryModel model,

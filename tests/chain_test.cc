@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "belief/chain.h"
-#include "core/direct_method.h"
 #include "data/frequency.h"
+#include "exact_oracle.h"
 
 namespace anonsafe {
 namespace {
@@ -243,7 +243,7 @@ TEST_P(ChainVsDirectTest, Lemma5MatchesPermanentExpectation) {
   FrequencyGroups fg = FrequencyGroups::Build(*table);
 
   auto exact_formula = ChainExactExpectedCracks(spec);
-  auto exact_direct = DirectExpectedCracks(fg, realized->belief);
+  auto exact_direct = OracleExpectedCracks(fg, realized->belief);
   ASSERT_TRUE(exact_formula.ok());
   ASSERT_TRUE(exact_direct.ok()) << exact_direct.status();
   EXPECT_NEAR(*exact_formula, *exact_direct, 1e-6)
@@ -274,7 +274,7 @@ TEST(ChainVsDirectTest, Length3ChainMatchesPermanent) {
   ASSERT_TRUE(table.ok());
   FrequencyGroups fg = FrequencyGroups::Build(*table);
   auto formula = ChainExactExpectedCracks(spec);
-  auto direct = DirectExpectedCracks(fg, realized->belief);
+  auto direct = OracleExpectedCracks(fg, realized->belief);
   ASSERT_TRUE(formula.ok());
   ASSERT_TRUE(direct.ok()) << direct.status();
   EXPECT_NEAR(*formula, *direct, 1e-6);

@@ -16,11 +16,9 @@
 #include "belief/belief_function.h"
 #include "belief/builders.h"
 #include "core/alpha_sweep.h"
-#include "core/direct_method.h"
 #include "core/oestimate.h"
 #include "core/recipe.h"
 #include "core/similarity.h"
-#include "core/simulated.h"
 #include "data/frequency.h"
 #include "data/sampling.h"
 #include "estimator/planner.h"
@@ -30,6 +28,7 @@
 #include "graph/permanent.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "exact_oracle.h"
 
 namespace anonsafe {
 namespace {
@@ -144,33 +143,6 @@ TEST(DeterminismTest, SamplerChainsBitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(sampler->CurrentStateConsistent());
 }
 
-TEST(DeterminismTest, SimulatedCracksBitIdenticalAcrossThreadCounts) {
-  auto table = MakeProfile(40, 43);
-  ASSERT_TRUE(table.ok());
-  FrequencyGroups groups = FrequencyGroups::Build(*table);
-  auto belief = MakeCompliantIntervalBelief(*table, groups.MedianGap());
-  ASSERT_TRUE(belief.ok());
-  SimulationOptions base;
-  base.exec.runs = 4;
-  base.sampler.num_samples = 60;
-  base.sampler.burn_in_sweeps = 20;
-  base.sampler.thinning_sweeps = 2;
-
-  std::vector<SimulationResult> results;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    SimulationOptions options = base;
-    options.exec.threads = threads;
-    auto r = SimulateExpectedCracks(groups, *belief, options);
-    ASSERT_TRUE(r.ok()) << r.status();
-    results.push_back(*r);
-  }
-  for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].mean, results[0].mean);
-    EXPECT_EQ(results[i].stddev, results[0].stddev);
-    EXPECT_EQ(results[i].run_means, results[0].run_means);
-  }
-}
-
 // ----------------------------------------------------------- Permanent
 
 TEST(DeterminismTest, RyserPermanentBitIdenticalAcrossThreadCounts) {
@@ -247,7 +219,7 @@ TEST(DeterminismTest, PlannerMatchesDirectAcrossThreadCounts) {
     }
     ASSERT_TRUE(belief.ok());
 
-    auto direct = DirectExpectedCracks(groups, *belief);
+    auto direct = OracleExpectedCracks(groups, *belief);
     ASSERT_TRUE(direct.ok()) << "trial " << trial;
     for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
       exec::ExecContext ctx(WithThreads(threads));

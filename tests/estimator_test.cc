@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "belief/builders.h"
-#include "core/direct_method.h"
 #include "core/recipe.h"
 #include "data/frequency.h"
 #include "estimator/closed_forms.h"
@@ -14,6 +13,7 @@
 #include "exec/exec.h"
 #include "graph/bipartite_graph.h"
 #include "util/rng.h"
+#include "exact_oracle.h"
 
 namespace anonsafe {
 namespace {
@@ -182,7 +182,7 @@ TEST(PlannerTest, ChainBlockUsesClosedForm) {
   // Exclusive items crack with 1/2 each, seam items with 1/4 each.
   EXPECT_EQ(estimate->expected_cracks, 1.5);
 
-  auto direct = DirectExpectedCracks(fixture->groups, fixture->belief);
+  auto direct = OracleExpectedCracks(fixture->groups, fixture->belief);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(estimate->expected_cracks, *direct);
 }
@@ -228,7 +228,7 @@ TEST(PlannerTest, MatchesDirectOnRandomInstances) {
     }
     ASSERT_TRUE(belief.ok());
 
-    auto direct = DirectExpectedCracks(groups, *belief);
+    auto direct = OracleExpectedCracks(groups, *belief);
     ASSERT_TRUE(direct.ok());
     auto estimate = PlanAndEstimate(groups, *belief);
     ASSERT_TRUE(estimate.ok());
@@ -253,7 +253,7 @@ TEST(PlannerTest, MessyBlockUsesPermanentWithinCutoff) {
   ASSERT_EQ(estimate->blocks.size(), 1u);
   EXPECT_EQ(estimate->blocks[0].method, BlockMethod::kPermanent);
   EXPECT_TRUE(estimate->exact);
-  auto direct = DirectExpectedCracks(messy->groups, messy->belief);
+  auto direct = OracleExpectedCracks(messy->groups, messy->belief);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(estimate->expected_cracks, *direct);
 }
@@ -293,7 +293,7 @@ TEST(PlannerTest, SamplerFallbackIsDeterministicAndClose) {
   ASSERT_EQ(first->blocks.size(), 1u);
   EXPECT_EQ(first->blocks[0].method, BlockMethod::kSampler);
   EXPECT_FALSE(first->exact);
-  auto direct = DirectExpectedCracks(messy->groups, messy->belief);
+  auto direct = OracleExpectedCracks(messy->groups, messy->belief);
   ASSERT_TRUE(direct.ok());
   EXPECT_NEAR(first->expected_cracks, *direct, 0.5);
 
@@ -359,44 +359,9 @@ TEST(PlannerTest, ExactBeyondWholeGraphPermanent) {
               3.0 * estimate->blocks[0].expected_cracks, 1e-12);
 
   // The whole-graph oracle really cannot answer this instance.
-  auto direct = DirectExpectedCracks(groups, *belief);
+  auto direct = OracleExpectedCracks(groups, *belief);
   ASSERT_FALSE(direct.ok());
   EXPECT_TRUE(direct.status().IsOutOfRange());
-}
-
-// ----------------------------------------------------- crack distribution
-
-TEST(PlannerTest, DistributionMatchesDirectEnumeration) {
-  auto fixture = MakeChain();
-  ASSERT_TRUE(fixture.ok());
-  auto direct =
-      DirectCrackDistribution(fixture->groups, fixture->belief);
-  ASSERT_TRUE(direct.ok());
-  auto planned =
-      PlannedCrackDistribution(fixture->groups, fixture->belief);
-  ASSERT_TRUE(planned.ok());
-  EXPECT_EQ(planned->num_matchings, direct->num_matchings);
-  ASSERT_EQ(planned->probability.size(), direct->probability.size());
-  for (size_t c = 0; c < direct->probability.size(); ++c) {
-    EXPECT_NEAR(planned->probability[c], direct->probability[c], 1e-12)
-        << "c=" << c;
-  }
-  EXPECT_NEAR(planned->expected, direct->expected, 1e-12);
-}
-
-TEST(PlannerTest, DistributionRejectsZeroMaxMatchings) {
-  auto fixture = MakeChain();
-  ASSERT_TRUE(fixture.ok());
-  auto planned =
-      PlannedCrackDistribution(fixture->groups, fixture->belief, 0);
-  ASSERT_FALSE(planned.ok());
-  EXPECT_TRUE(planned.status().IsInvalidArgument());
-  // The direct method rejects the same degenerate bound (it used to spin
-  // up the whole graph build first).
-  auto direct =
-      DirectCrackDistribution(fixture->groups, fixture->belief, 0);
-  ASSERT_FALSE(direct.ok());
-  EXPECT_TRUE(direct.status().IsInvalidArgument());
 }
 
 // --------------------------------------------------------- MakeEstimator
@@ -404,7 +369,7 @@ TEST(PlannerTest, DistributionRejectsZeroMaxMatchings) {
 TEST(MakeEstimatorTest, AdaptersReportNamesAndExactness) {
   auto fixture = MakeChain();
   ASSERT_TRUE(fixture.ok());
-  auto direct = DirectExpectedCracks(fixture->groups, fixture->belief);
+  auto direct = OracleExpectedCracks(fixture->groups, fixture->belief);
   ASSERT_TRUE(direct.ok());
 
   EstimatorConfig config;
@@ -449,22 +414,27 @@ TEST(MakeEstimatorTest, OnlyOeAcceptsWeightsAndInterest) {
                                                r.hi - r.lo + 1, 1.0)});
   }
   const std::vector<bool> interest = {true, false, true, false};
+  const adversary::AdversaryDescription probabilistic =
+      adversary::Adversary::Find("probabilistic")->Describe();
+  const adversary::AdversaryDescription interval =
+      adversary::Adversary::Find("interval")->Describe();
 
+  EXPECT_TRUE(CheckAdversarySupported(EstimatorKind::kOe, probabilistic).ok());
   auto oe = MakeEstimator(EstimatorKind::kOe);
-  EXPECT_TRUE(oe->supports_weights());
   EXPECT_TRUE(oe->Estimate(fixture->groups, weighted).ok());
   EXPECT_TRUE(oe->Estimate(fixture->groups, weighted, nullptr, &interest).ok());
 
   // The other engines see only the structural belief: they refuse
-  // weights and interest masks instead of silently ignoring them.
+  // weights and interest masks instead of silently ignoring them. A
+  // weighted model is refused with exactly the status the recipe and
+  // `anonsafe plan` report before binding.
   for (EstimatorKind kind :
        {EstimatorKind::kAuto, EstimatorKind::kExact, EstimatorKind::kSampler}) {
+    EXPECT_TRUE(CheckAdversarySupported(kind, interval).ok());
+    const Status check = CheckAdversarySupported(kind, probabilistic);
+    EXPECT_TRUE(check.IsUnimplemented()) << check;
     auto engine = MakeEstimator(kind);
-    EXPECT_FALSE(engine->supports_weights()) << engine->name();
-    EXPECT_TRUE(engine->Estimate(fixture->groups, weighted)
-                    .status()
-                    .IsUnimplemented())
-        << engine->name();
+    EXPECT_EQ(engine->Estimate(fixture->groups, weighted).status(), check);
     EXPECT_TRUE(engine
                     ->Estimate(fixture->groups, ModelOf(fixture->belief),
                                nullptr, &interest)

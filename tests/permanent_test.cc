@@ -4,11 +4,11 @@
 #include <numeric>
 
 #include "belief/builders.h"
-#include "core/direct_method.h"
 #include "data/frequency.h"
 #include "graph/bipartite_graph.h"
 #include "graph/permanent.h"
 #include "util/rng.h"
+#include "exact_oracle.h"
 
 namespace anonsafe {
 namespace {
@@ -102,7 +102,7 @@ TEST(DirectMethodTest, CompleteGraphGivesLemma1) {
     auto table = FrequencyTable::FromSupports(supports, 100);
     ASSERT_TRUE(table.ok());
     FrequencyGroups groups = FrequencyGroups::Build(*table);
-    auto direct = DirectExpectedCracks(groups, MakeIgnorantBelief(n));
+    auto direct = OracleExpectedCracks(groups, MakeIgnorantBelief(n));
     ASSERT_TRUE(direct.ok());
     EXPECT_NEAR(*direct, 1.0, 1e-9) << "n=" << n;
   }
@@ -115,7 +115,7 @@ TEST(DirectMethodTest, PointValuedGivesLemma3) {
   FrequencyGroups groups = FrequencyGroups::Build(*table);
   auto beta = MakePointValuedBelief(*table);
   ASSERT_TRUE(beta.ok());
-  auto direct = DirectExpectedCracks(groups, *beta);
+  auto direct = OracleExpectedCracks(groups, *beta);
   ASSERT_TRUE(direct.ok());
   EXPECT_NEAR(*direct, 3.0, 1e-9);
 }
@@ -126,7 +126,7 @@ TEST(DirectMethodTest, NoPerfectMatchingFails) {
   FrequencyGroups groups = FrequencyGroups::Build(*table);
   auto beta = BeliefFunction::Create({{0.05, 0.15}, {0.05, 0.15}});
   ASSERT_TRUE(beta.ok());
-  EXPECT_TRUE(DirectExpectedCracks(groups, *beta)
+  EXPECT_TRUE(OracleExpectedCracks(groups, *beta)
                   .status().IsFailedPrecondition());
 }
 
@@ -146,14 +146,14 @@ TEST(EnumerationTest, DistributionSumsToOneAndMatchesPermanent) {
                                             0.1 * rng.UniformDouble());
     ASSERT_TRUE(beta.ok());
 
-    auto dist = DirectCrackDistribution(groups, *beta);
+    auto dist = OracleCrackDistribution(groups, *beta);
     ASSERT_TRUE(dist.ok());
     double total_p = 0.0;
     for (double p : dist->probability) total_p += p;
     EXPECT_NEAR(total_p, 1.0, 1e-9);
     EXPECT_GT(dist->num_matchings, 0u);
 
-    auto direct = DirectExpectedCracks(groups, *beta);
+    auto direct = OracleExpectedCracks(groups, *beta);
     ASSERT_TRUE(direct.ok());
     EXPECT_NEAR(dist->expected, *direct, 1e-6) << "trial " << trial;
   }
@@ -188,6 +188,14 @@ TEST(EnumerationTest, AbortsOverBudget) {
   auto g = BipartiteGraph::FromAdjacency(8, std::move(adj));
   ASSERT_TRUE(g.ok());
   EXPECT_TRUE(EnumerateCrackDistribution(*g, 100).status().IsOutOfRange());
+}
+
+TEST(EnumerationTest, RejectsZeroMaxMatchings) {
+  // A zero budget is a caller error, not an over-budget graph: it must
+  // not surface as OutOfRange at the first matching.
+  auto g = BipartiteGraph::FromAdjacency(2, {{0, 1}, {0, 1}});
+  ASSERT_TRUE(g.ok());
+  EXPECT_TRUE(EnumerateCrackDistribution(*g, 0).status().IsInvalidArgument());
 }
 
 }  // namespace

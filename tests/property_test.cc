@@ -6,7 +6,6 @@
 #include "anonymize/anonymizer.h"
 #include "belief/builders.h"
 #include "belief/chain.h"
-#include "core/direct_method.h"
 #include "core/oestimate.h"
 #include "data/frequency.h"
 #include "datagen/profile.h"
@@ -15,6 +14,7 @@
 #include "graph/hopcroft_karp.h"
 #include "graph/permanent.h"
 #include "util/rng.h"
+#include "exact_oracle.h"
 #include "test_rows.h"
 
 namespace anonsafe {
@@ -181,7 +181,7 @@ TEST_P(PropagationSoundnessTest, ForcedCountMatchesCertainCracks) {
   auto stats = cs->PropagateDegreeOne();
   ASSERT_FALSE(stats.contradiction);  // compliant => perfect matching
 
-  auto dist = DirectCrackDistribution(groups, *beta);
+  auto dist = OracleCrackDistribution(groups, *beta);
   ASSERT_TRUE(dist.ok());
   // Count items cracked in EVERY perfect matching: under compliance a
   // forced item is always cracked, so forced <= certain cracks. The
@@ -297,7 +297,7 @@ TEST_P(RandomChainPropertyTest, Lemma6MatchesDirectMethod) {
   FrequencyGroups groups = FrequencyGroups::Build(*table);
 
   auto formula = ChainExactExpectedCracks(spec);
-  auto direct = DirectExpectedCracks(groups, realized->belief);
+  auto direct = OracleExpectedCracks(groups, realized->belief);
   ASSERT_TRUE(formula.ok());
   ASSERT_TRUE(direct.ok()) << direct.status();
   EXPECT_NEAR(*formula, *direct, 1e-6);

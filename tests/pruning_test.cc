@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "belief/builders.h"
-#include "core/direct_method.h"
 #include "core/graph_oestimate.h"
 #include "core/oestimate.h"
 #include "data/frequency.h"
 #include "graph/edge_pruning.h"
+#include "graph/permanent.h"
 #include "util/rng.h"
 
 namespace anonsafe {

@@ -3,14 +3,13 @@
 #include <cmath>
 
 #include "belief/builders.h"
-#include "core/direct_method.h"
-#include "core/simulated.h"
 #include "data/frequency.h"
 #include "graph/bipartite_graph.h"
 #include "graph/hopcroft_karp.h"
 #include "graph/matching_sampler.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "exact_oracle.h"
 
 namespace anonsafe {
 namespace {
@@ -117,7 +116,7 @@ TEST_P(SamplerVsExactTest, MatchesPermanentExpectation) {
       MakeCompliantIntervalBelief(*table, 0.05 + 0.2 * rng.UniformDouble());
   ASSERT_TRUE(beta.ok());
 
-  auto exact = DirectExpectedCracks(groups, *beta);
+  auto exact = OracleExpectedCracks(groups, *beta);
   ASSERT_TRUE(exact.ok());
 
   SamplerOptions opt;
@@ -184,7 +183,7 @@ TEST(SamplerTest, DistributionMatchesEnumerationOnTinyGraph) {
   auto beta = MakePointValuedBelief(*table);
   ASSERT_TRUE(beta.ok());
 
-  auto exact = DirectCrackDistribution(groups, *beta);
+  auto exact = OracleCrackDistribution(groups, *beta);
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(exact->num_matchings, 12u);  // 2! * 3!
 
@@ -245,42 +244,6 @@ TEST_P(GreedySeedTest, GreedyIntervalSeedIsMaximum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedySeedTest,
                          ::testing::Range<uint64_t>(1, 21));
-
-// --------------------------------------------------- SimulateExpectedCracks
-
-TEST(SimulatedTest, MeanAndStdDevAcrossRuns) {
-  auto table = FrequencyTable::FromSupports({2, 3, 5, 5, 7, 7}, 10);
-  ASSERT_TRUE(table.ok());
-  FrequencyGroups groups = FrequencyGroups::Build(*table);
-  auto beta = MakeCompliantIntervalBelief(*table, 0.15);
-  ASSERT_TRUE(beta.ok());
-
-  SimulationOptions opt;
-  opt.exec.runs = 5;
-  opt.sampler.num_samples = 400;
-  opt.sampler.burn_in_sweeps = 40;
-  opt.sampler.thinning_sweeps = 3;
-  auto sim = SimulateExpectedCracks(groups, *beta, opt);
-  ASSERT_TRUE(sim.ok());
-  EXPECT_EQ(sim->run_means.size(), 5u);
-  EXPECT_TRUE(sim->seed_was_perfect);
-
-  auto exact = DirectExpectedCracks(groups, *beta);
-  ASSERT_TRUE(exact.ok());
-  // Within one-ish standard deviation plus slack (the paper's Figure 10
-  // criterion).
-  EXPECT_NEAR(sim->mean, *exact, std::max(0.2, 3.0 * sim->stddev));
-}
-
-TEST(SimulatedTest, ZeroRunsRejected) {
-  auto table = FrequencyTable::FromSupports({2, 3}, 10);
-  ASSERT_TRUE(table.ok());
-  FrequencyGroups groups = FrequencyGroups::Build(*table);
-  SimulationOptions opt;
-  opt.exec.runs = 0;
-  EXPECT_TRUE(SimulateExpectedCracks(groups, MakeIgnorantBelief(2), opt)
-                  .status().IsInvalidArgument());
-}
 
 }  // namespace
 }  // namespace anonsafe
